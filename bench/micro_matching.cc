@@ -224,21 +224,6 @@ void BM_BipartiteMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_BipartiteMatching)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_BipartiteMatchingHopcroftKarp(benchmark::State& state) {
-  Rng rng(9);
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  BigraphAdjacency adj(n);
-  for (uint32_t l = 0; l < n; ++l) {
-    for (uint32_t r = 0; r < n; ++r) {
-      if (rng.NextBool(0.3)) adj[l].push_back(r);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MaxBipartiteMatchingHopcroftKarp(adj, n));
-  }
-}
-BENCHMARK(BM_BipartiteMatchingHopcroftKarp)->Arg(8)->Arg(32)->Arg(128);
-
 // --- extension-path enumeration (dense workload) ---------------------------
 // The paper's dense queries (Q_iD, Fig. 7) are where the extension step
 // dominates: each new query vertex has several backward neighbors, so the

@@ -21,6 +21,22 @@ std::span<const VertexId> Graph::VerticesWithLabel(Label l) const {
           label_offsets_[slot + 1] - label_offsets_[slot]};
 }
 
+bool Graph::MayContain(const Graph& query) const {
+  if (query.NumEdges() > NumEdges()) return false;
+  size_t j = 0;
+  for (size_t i = 0; i < query.label_values_.size(); ++i) {
+    const Label l = query.label_values_[i];
+    while (j < label_values_.size() && label_values_[j] < l) ++j;
+    if (j == label_values_.size() || label_values_[j] != l) return false;
+    if (query.label_offsets_[i + 1] - query.label_offsets_[i] >
+        label_offsets_[j + 1] - label_offsets_[j]) {
+      return false;
+    }
+    ++j;
+  }
+  return true;
+}
+
 void Graph::RebindViews() {
   if (owned_ == nullptr) {
     labels_ = {};

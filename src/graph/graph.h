@@ -94,6 +94,14 @@ class Graph {
     return static_cast<uint32_t>(VerticesWithLabel(l).size());
   }
 
+  // The graph-level screen the vcFV/IvcFV scans run ahead of a matcher's
+  // Filter(): false iff `query` has more edges than this graph, or some
+  // label occurs more often in `query` than here. Any monomorphism needs
+  // both conditions, so false proves query ⊄ this graph. A merge over the
+  // two label indexes: O(distinct labels), no allocation, owned and mapped
+  // graphs alike.
+  bool MayContain(const Graph& query) const;
+
   uint32_t MaxDegree() const { return max_degree_; }
   double AverageDegree() const {
     return NumVertices() == 0

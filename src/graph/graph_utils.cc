@@ -1,43 +1,47 @@
 #include "graph/graph_utils.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "util/logging.h"
 
 namespace sgq {
 
 BfsTree BuildBfsTree(const Graph& graph, VertexId root) {
+  BfsTree tree;
+  BuildBfsTree(graph, root, &tree);
+  return tree;
+}
+
+void BuildBfsTree(const Graph& graph, VertexId root, BfsTree* tree) {
   const uint32_t n = graph.NumVertices();
   SGQ_CHECK_LT(root, n);
-  BfsTree tree;
-  tree.root = root;
-  tree.parent.assign(n, kInvalidVertex);
-  tree.level.assign(n, 0);
-  tree.children.assign(n, {});
-  tree.order.reserve(n);
+  tree->root = root;
+  tree->parent.assign(n, kInvalidVertex);
+  // UINT32_MAX marks "not yet visited" until BFS assigns the real level.
+  tree->level.assign(n, UINT32_MAX);
+  // resize keeps the surviving lists' buffers; clear keeps their capacity.
+  tree->children.resize(n);
+  for (auto& list : tree->children) list.clear();
 
-  std::vector<bool> visited(n, false);
-  std::deque<VertexId> queue;
-  queue.push_back(root);
-  visited[root] = true;
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop_front();
-    tree.order.push_back(u);
+  // The visit order doubles as the BFS queue: order[head] is dequeued.
+  std::vector<VertexId>& order = tree->order;
+  order.clear();
+  order.reserve(n);
+  order.push_back(root);
+  tree->level[root] = 0;
+  for (size_t head = 0; head < order.size(); ++head) {
+    const VertexId u = order[head];
     for (VertexId w : graph.Neighbors(u)) {
-      if (!visited[w]) {
-        visited[w] = true;
-        tree.parent[w] = u;
-        tree.level[w] = tree.level[u] + 1;
-        tree.children[u].push_back(w);
-        queue.push_back(w);
+      if (tree->level[w] == UINT32_MAX) {
+        tree->level[w] = tree->level[u] + 1;
+        tree->parent[w] = u;
+        tree->children[u].push_back(w);
+        order.push_back(w);
       }
     }
   }
-  SGQ_CHECK_EQ(tree.order.size(), n) << "BuildBfsTree requires connectivity";
-  tree.num_levels = n == 0 ? 0 : tree.level[tree.order.back()] + 1;
-  return tree;
+  SGQ_CHECK_EQ(order.size(), n) << "BuildBfsTree requires connectivity";
+  tree->num_levels = n == 0 ? 0 : tree->level[order.back()] + 1;
 }
 
 bool IsConnected(const Graph& graph) {
@@ -86,26 +90,34 @@ std::vector<uint32_t> ConnectedComponents(const Graph& graph) {
 }
 
 std::vector<bool> TwoCoreMembership(const Graph& graph) {
-  const uint32_t n = graph.NumVertices();
-  std::vector<uint32_t> degree(n);
-  for (VertexId v = 0; v < n; ++v) degree[v] = graph.degree(v);
-  std::vector<bool> removed(n, false);
+  std::vector<bool> in_core;
+  std::vector<uint32_t> degree;
   std::vector<VertexId> stack;
+  TwoCoreMembership(graph, &in_core, &degree, &stack);
+  return in_core;
+}
+
+void TwoCoreMembership(const Graph& graph, std::vector<bool>* in_core,
+                       std::vector<uint32_t>* degree,
+                       std::vector<VertexId>* stack) {
+  const uint32_t n = graph.NumVertices();
+  degree->resize(n);
+  stack->clear();
   for (VertexId v = 0; v < n; ++v) {
-    if (degree[v] < 2) stack.push_back(v);
+    (*degree)[v] = graph.degree(v);
+    if ((*degree)[v] < 2) stack->push_back(v);
   }
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    if (removed[v]) continue;
-    removed[v] = true;
+  // Peeling clears a vertex's membership; whatever is left is the 2-core.
+  in_core->assign(n, true);
+  while (!stack->empty()) {
+    const VertexId v = stack->back();
+    stack->pop_back();
+    if (!(*in_core)[v]) continue;
+    (*in_core)[v] = false;
     for (VertexId w : graph.Neighbors(v)) {
-      if (!removed[w] && degree[w]-- == 2) stack.push_back(w);
+      if ((*in_core)[w] && (*degree)[w]-- == 2) stack->push_back(w);
     }
   }
-  std::vector<bool> in_core(n);
-  for (VertexId v = 0; v < n; ++v) in_core[v] = !removed[v];
-  return in_core;
 }
 
 bool IsAcyclic(const Graph& graph) {

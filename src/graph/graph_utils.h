@@ -32,6 +32,11 @@ struct BfsTree {
 // vertices reachable from root); unreachable vertices trigger a CHECK.
 BfsTree BuildBfsTree(const Graph& graph, VertexId root);
 
+// The same tree written into `*tree`, reusing its buffers (including each
+// children list): no heap allocation once the tree has held a graph at
+// least this large. CFL builds one per data graph that reaches its filter.
+void BuildBfsTree(const Graph& graph, VertexId root, BfsTree* tree);
+
 // True iff the graph is connected (the empty graph counts as connected).
 bool IsConnected(const Graph& graph);
 
@@ -42,6 +47,13 @@ std::vector<uint32_t> ConnectedComponents(const Graph& graph);
 // vertices with degree < 2. CFL prioritizes these vertices in its matching
 // order ("core structure").
 std::vector<bool> TwoCoreMembership(const Graph& graph);
+
+// The same membership written into `*in_core`, with `*degree` and `*stack`
+// as scratch; all three keep their capacity across calls, so a caller that
+// recycles them runs allocation-free.
+void TwoCoreMembership(const Graph& graph, std::vector<bool>* in_core,
+                       std::vector<uint32_t>* degree,
+                       std::vector<VertexId>* stack);
 
 // True iff the graph has no cycle (i.e., is a forest). Used by the query-set
 // statistics ("% of trees", Table V) and the CT-Index cycle enumerator.

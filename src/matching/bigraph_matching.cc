@@ -78,83 +78,7 @@ uint32_t Solve(const BigraphAdjacency& adj, uint32_t num_right,
   return matched;
 }
 
-// --- Hopcroft–Karp -----------------------------------------------------------
-
-struct HopcroftKarp {
-  const BigraphAdjacency& adj;
-  uint32_t num_left;
-  uint32_t num_right;
-  std::vector<uint32_t> match_left, match_right, dist;
-
-  explicit HopcroftKarp(const BigraphAdjacency& a, uint32_t nr)
-      : adj(a),
-        num_left(static_cast<uint32_t>(a.size())),
-        num_right(nr),
-        match_left(num_left, kUnmatched),
-        match_right(nr, kUnmatched),
-        dist(num_left, 0) {}
-
-  // Layered BFS from all free left vertices; true if an augmenting path
-  // exists.
-  bool Bfs() {
-    std::deque<uint32_t> queue;
-    bool found = false;
-    for (uint32_t l = 0; l < num_left; ++l) {
-      if (match_left[l] == kUnmatched) {
-        dist[l] = 0;
-        queue.push_back(l);
-      } else {
-        dist[l] = UINT32_MAX;
-      }
-    }
-    while (!queue.empty()) {
-      const uint32_t l = queue.front();
-      queue.pop_front();
-      for (uint32_t r : adj[l]) {
-        const uint32_t next = match_right[r];
-        if (next == kUnmatched) {
-          found = true;
-        } else if (dist[next] == UINT32_MAX) {
-          dist[next] = dist[l] + 1;
-          queue.push_back(next);
-        }
-      }
-    }
-    return found;
-  }
-
-  // DFS along the BFS layers.
-  bool Dfs(uint32_t l) {
-    for (uint32_t r : adj[l]) {
-      const uint32_t next = match_right[r];
-      if (next == kUnmatched ||
-          (dist[next] == dist[l] + 1 && Dfs(next))) {
-        match_left[l] = r;
-        match_right[r] = l;
-        return true;
-      }
-    }
-    dist[l] = UINT32_MAX;
-    return false;
-  }
-
-  uint32_t Solve() {
-    uint32_t matched = 0;
-    while (Bfs()) {
-      for (uint32_t l = 0; l < num_left; ++l) {
-        if (match_left[l] == kUnmatched && Dfs(l)) ++matched;
-      }
-    }
-    return matched;
-  }
-};
-
 }  // namespace
-
-uint32_t MaxBipartiteMatchingHopcroftKarp(const BigraphAdjacency& adj,
-                                          uint32_t num_right) {
-  return HopcroftKarp(adj, num_right).Solve();
-}
 
 uint32_t MaxBipartiteMatching(const BigraphAdjacency& adj,
                               uint32_t num_right) {

@@ -24,14 +24,6 @@ uint32_t MaxBipartiteMatching(const BigraphAdjacency& adj, uint32_t num_right);
 // (a "semi-perfect matching" in the paper's terms).
 bool HasSemiPerfectMatching(const BigraphAdjacency& adj, uint32_t num_right);
 
-// Hopcroft–Karp: O(E * sqrt(V)) maximum matching via layered BFS + batched
-// augmentation. The paper picked the simpler single-path algorithm above
-// on the advice of [8]; this variant exists so the choice is measurable
-// (see the micro benches) — on GraphQL's tiny per-candidate bigraphs the
-// asymptotics rarely pay for the extra passes.
-uint32_t MaxBipartiteMatchingHopcroftKarp(const BigraphAdjacency& adj,
-                                          uint32_t num_right);
-
 }  // namespace sgq
 
 #endif  // SGQ_MATCHING_BIGRAPH_MATCHING_H_

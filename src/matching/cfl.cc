@@ -28,11 +28,11 @@ size_t CpiData::MemoryBytes() const {
 namespace {
 
 // Root selection: the (core, if any exists) query vertex minimizing
-// |LDF candidates| / degree.
-VertexId SelectRoot(const Graph& query, const Graph& data) {
+// |LDF candidates| / degree. `in_core` is the query's 2-core membership.
+VertexId SelectRoot(const Graph& query, const Graph& data,
+                    const std::vector<bool>& in_core) {
   const uint32_t n = query.NumVertices();
   if (n == 1) return 0;
-  std::vector<bool> in_core = TwoCoreMembership(query);
   bool has_core = false;
   for (bool b : in_core) has_core |= b;
 
@@ -65,10 +65,11 @@ VertexId SelectRoot(const Graph& query, const Graph& data) {
 // available vertex (tree parent already emitted) with the best
 // (core-membership, estimated path cardinality, |Φ|) priority. Guarantees
 // parents precede children, which the CPI-driven enumeration requires.
-// Writes into out->matching_order (recycled capacity).
-void BuildMatchingOrder(const Graph& query, CpiData* cpi) {
+// Writes into out->matching_order (recycled capacity). `in_core` is the
+// query's 2-core membership.
+void BuildMatchingOrder(const Graph& query, const std::vector<bool>& in_core,
+                        CpiData* cpi) {
   const uint32_t n = query.NumVertices();
-  const std::vector<bool> in_core = TwoCoreMembership(query);
 
   // Estimated cardinality of the cheapest root-to-leaf path through each
   // vertex: est(u) = est(parent) * avg CPI fanout of the tree edge; leaves
@@ -204,6 +205,8 @@ EnumerateResult CflEnumerate(const Graph& query, const Graph& data,
                              const EmbeddingCallback& callback,
                              MatchWorkspace& w) {
   const uint32_t n = query.NumVertices();
+  SGQ_CHECK_EQ(cpi.matching_order.size(), n)
+      << "CFL enumeration needs the full CPI, not FilterCandidateSets()";
   if (w.backward_neighbors.size() != n) w.backward_neighbors.resize(n);
   for (auto& l : w.backward_neighbors) l.clear();
   w.placed.assign(n, 0);
@@ -231,20 +234,17 @@ EnumerateResult CflEnumerate(const Graph& query, const Graph& data,
 
 }  // namespace
 
-void CflMatcher::FilterInto(const Graph& query, const Graph& data,
-                            MatchWorkspace* ws, CpiData* out) const {
+bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
+                           MatchWorkspace* ws, CpiData* out) const {
   SGQ_CHECK_GT(query.NumVertices(), 0u);
   const uint32_t n = query.NumVertices();
   out->phi.ResetForReuse(n);
-  if (data.NumVertices() == 0) return;
+  if (data.NumVertices() == 0) return false;
+  MatchWorkspace& w = *ws;
 
-  // Scratch comes from the workspace when one is given; the call-local
-  // fallback keeps the allocating Filter() path identical in behavior.
-  MatchWorkspace local;
-  MatchWorkspace& w = ws != nullptr ? *ws : local;
-
-  const VertexId root = SelectRoot(query, data);
-  out->tree = BuildBfsTree(query, root);
+  TwoCoreMembership(query, &w.in_core, &w.core_degree, &w.query_vertices);
+  const VertexId root = SelectRoot(query, data, w.in_core);
+  BuildBfsTree(query, root, &out->tree);
   const BfsTree& tree = out->tree;
 
   // Position of each query vertex in BFS visit order; backward neighbors of
@@ -260,13 +260,13 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
   // contributions and intersects across neighbors.
   std::vector<uint32_t>& cnt = w.vertex_counts;
   cnt.assign(data.NumVertices(), 0);
-  std::vector<VertexId> backward;
+  std::vector<VertexId>& backward = w.query_vertices;
   for (uint32_t i = 0; i < n; ++i) {
     const VertexId u = tree.order[i];
     auto& set = out->phi.mutable_set(u);
     if (u == root) {
       LdfNlfCandidatesInto(query, data, u, options_.use_nlf, &set);
-      if (set.empty()) return;
+      if (set.empty()) return false;
       continue;
     }
     backward.clear();
@@ -312,7 +312,7 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
         }
       }
     }
-    if (set.empty()) return;
+    if (set.empty()) return false;
   }
 
   // --- Bottom-up refinement ---------------------------------------------
@@ -323,7 +323,7 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
     // vertices are processed earlier in this reverse sweep, so in-place
     // erasure keeps the membership view exact without the O(n·|V(G)|)
     // byte rows this sweep used to build).
-    std::vector<VertexId> forward;
+    std::vector<VertexId>& forward = w.query_vertices;
     for (uint32_t i = n; i-- > 0;) {
       const VertexId u = tree.order[i];
       forward.clear();
@@ -341,21 +341,29 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
         return false;
       });
       set.erase(keep_end, set.end());
-      if (set.empty()) return;
+      if (set.empty()) return false;
     }
   }
+  return true;
+}
+
+void CflMatcher::FilterInto(const Graph& query, const Graph& data,
+                            MatchWorkspace* ws, CpiData* out) const {
+  if (!FilterPhi(query, data, ws, out)) return;
+  const uint32_t n = query.NumVertices();
+  const BfsTree& tree = out->tree;
 
   // --- CPI edges along tree edges ----------------------------------------
   // For each non-root u and each candidate of parent(u), record the indices
   // (into Φ(u)) of adjacent candidates. The nested lists are resized, not
   // reassigned, so a recycled CpiData keeps their heap buffers.
   if (out->children.size() != n) out->children.resize(n);
-  std::vector<uint32_t>& index_of = w.index_of;
+  std::vector<uint32_t>& index_of = ws->index_of;
   index_of.assign(data.NumVertices(), UINT32_MAX);
   for (uint32_t i = 0; i < n; ++i) {
     const VertexId u = tree.order[i];
     auto& per_parent = out->children[u];
-    if (u == root) {
+    if (u == tree.root) {
       per_parent.clear();
       continue;
     }
@@ -373,13 +381,14 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
     for (uint32_t j = 0; j < u_set.size(); ++j) index_of[u_set[j]] = UINT32_MAX;
   }
 
-  BuildMatchingOrder(query, out);
+  BuildMatchingOrder(query, ws->in_core, out);
 }
 
 std::unique_ptr<FilterData> CflMatcher::Filter(const Graph& query,
                                                const Graph& data) const {
   auto out = std::make_unique<CpiData>();
-  FilterInto(query, data, /*ws=*/nullptr, out.get());
+  MatchWorkspace local;
+  FilterInto(query, data, &local, out.get());
   return out;
 }
 
@@ -388,6 +397,27 @@ FilterData* CflMatcher::Filter(const Graph& query, const Graph& data,
   SGQ_CHECK(ws != nullptr);
   CpiData* out = ws->AcquireFilterData<CpiData>();
   FilterInto(query, data, ws, out);
+  return out;
+}
+
+std::unique_ptr<FilterData> CflMatcher::FilterCandidateSets(
+    const Graph& query, const Graph& data) const {
+  auto out = std::make_unique<CpiData>();
+  MatchWorkspace local;
+  FilterPhi(query, data, &local, out.get());
+  return out;
+}
+
+FilterData* CflMatcher::FilterCandidateSets(const Graph& query,
+                                            const Graph& data,
+                                            MatchWorkspace* ws) const {
+  SGQ_CHECK(ws != nullptr);
+  CpiData* out = ws->AcquireFilterData<CpiData>();
+  // A CpiData this workspace recycled from a full Filter() would otherwise
+  // keep that graph's CPI edges and order.
+  out->children.clear();
+  out->matching_order.clear();
+  FilterPhi(query, data, ws, out);
   return out;
 }
 

@@ -65,11 +65,26 @@ class CflMatcher : public Matcher {
                             const EmbeddingCallback& callback =
                                 nullptr) const override;
 
+  // The filter stopped after bottom-up refinement: Φ and the BFS tree it
+  // was built along, without the CPI edges or the matching order (left
+  // empty), so the result is only for enumerations that read Φ alone
+  // (CFQL). Φ is identical to Filter()'s.
+  std::unique_ptr<FilterData> FilterCandidateSets(const Graph& query,
+                                                  const Graph& data) const;
+  FilterData* FilterCandidateSets(const Graph& query, const Graph& data,
+                                  MatchWorkspace* ws) const;
+
   const CflOptions& options() const { return options_; }
 
  private:
-  // The shared CPI-construction body: fills `out` in place (recycling its
-  // nested buffers), drawing |V(G)|-sized scratch from `ws` when given.
+  // Root selection, BFS tree, top-down generation and bottom-up refinement
+  // into out->phi and out->tree, with all scratch drawn from `ws`. Returns
+  // false as soon as some Φ(u) is empty (the graph is filtered out).
+  bool FilterPhi(const Graph& query, const Graph& data, MatchWorkspace* ws,
+                 CpiData* out) const;
+
+  // FilterPhi, then the CPI edges and the path-based matching order:
+  // fills `out` in place, recycling its nested buffers.
   void FilterInto(const Graph& query, const Graph& data, MatchWorkspace* ws,
                   CpiData* out) const;
 

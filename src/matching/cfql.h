@@ -19,15 +19,15 @@ class CfqlMatcher : public Matcher {
 
   const char* name() const override { return "CFQL"; }
 
-  // CFL's preprocessing phase (returns a CpiData; the CPI edges are unused
-  // by the GraphQL-style enumeration, only Φ is).
+  // CFL's preprocessing phase up to Φ: the GraphQL-style enumeration reads
+  // only Φ, so the CPI edges and CFL's matching order are never built.
   std::unique_ptr<FilterData> Filter(const Graph& query,
                                      const Graph& data) const override {
-    return cfl_.Filter(query, data);
+    return cfl_.FilterCandidateSets(query, data);
   }
   FilterData* Filter(const Graph& query, const Graph& data,
                      MatchWorkspace* ws) const override {
-    return cfl_.Filter(query, data, ws);
+    return cfl_.FilterCandidateSets(query, data, ws);
   }
 
   EnumerateResult Enumerate(const Graph& query, const Graph& data,

@@ -33,6 +33,9 @@ size_t MatchWorkspace::MemoryBytes() const {
   bytes += order_pos.capacity() * sizeof(uint32_t);
   bytes += vertex_counts.capacity() * sizeof(uint32_t);
   bytes += index_of.capacity() * sizeof(uint32_t);
+  bytes += in_core.capacity() / 8;
+  bytes += core_degree.capacity() * sizeof(uint32_t);
+  bytes += query_vertices.capacity() * sizeof(VertexId);
   bytes += scratch_candidates.capacity() * sizeof(VertexId);
   return bytes;
 }

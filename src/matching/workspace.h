@@ -149,6 +149,12 @@ class MatchWorkspace {
   std::vector<uint32_t> order_pos;
   std::vector<uint32_t> vertex_counts;
   std::vector<uint32_t> index_of;
+  // CFL: the query's 2-core membership (root selection, matching order),
+  // its peeling degrees, and a query-vertex list (the peeling stack, then
+  // each vertex's backward or forward neighbors).
+  std::vector<bool> in_core;
+  std::vector<uint32_t> core_degree;
+  std::vector<VertexId> query_vertices;
   // Pre-filtered label-bucket slice from the vertex candidate index (CFL's
   // top-down pass on indexed data graphs); valid within one query vertex.
   std::vector<VertexId> scratch_candidates;

@@ -19,7 +19,10 @@ struct SlotAccumulator {
   std::vector<GraphId> answers;
   uint64_t candidates = 0;
   uint64_t si_tests = 0;
+  uint64_t screened = 0;  // graphs the screen rejected (deadline cadence)
   size_t max_aux = 0;
+  // Only verification is timed per graph; filter_nanos is the slot's scan
+  // wall time minus its verification time.
   int64_t filter_nanos = 0;
   int64_t verify_nanos = 0;
   EnumerateResult counters;  // intersect_*/local_candidates sums
@@ -124,15 +127,23 @@ QueryResult ParallelVcfvEngine::Query(const Graph& query,
         WorkerSlot& slot = *slots_[slot_id];
         SlotAccumulator& acc = accumulators[slot_id];
         DeadlineChecker checker(deadline);
+        const WallTimer chunk_timer;
+        const int64_t verify_before = acc.verify_nanos;
         WallTimer timer;
         for (size_t g = begin; g < end; ++g) {
-          if (timed_out.load(std::memory_order_relaxed)) return;
+          if (timed_out.load(std::memory_order_relaxed)) break;
           const Graph& data = db_->graph(static_cast<GraphId>(g));
+          if (!data.MayContain(query)) {
+            if (++acc.screened % kScreenedGraphsPerDeadlinePoll == 0 &&
+                deadline.Expired()) {
+              timed_out.store(true, std::memory_order_relaxed);
+              break;
+            }
+            continue;
+          }
 
-          timer.Restart();
           const FilterData* filter_data =
               slot.matcher->Filter(query, data, &slot.workspace);
-          acc.filter_nanos += timer.ElapsedNanos();
           acc.max_aux = std::max(acc.max_aux, filter_data->MemoryBytes());
 
           if (filter_data->Passed()) {
@@ -150,14 +161,16 @@ QueryResult ParallelVcfvEngine::Query(const Graph& query,
             }
             if (er.aborted) {
               timed_out.store(true, std::memory_order_relaxed);
-              return;
+              break;
             }
           }
           if (deadline.Expired()) {
             timed_out.store(true, std::memory_order_relaxed);
-            return;
+            break;
           }
         }
+        acc.filter_nanos +=
+            chunk_timer.ElapsedNanos() - (acc.verify_nanos - verify_before);
       });
 
   FoldAccumulators(accumulators, executors, &result);
@@ -240,6 +253,7 @@ QueryResult ParallelVcfvEngine::QueryStreaming(const Graph& query,
     WorkerSlot& slot = *slots_[slot_id];
     SlotAccumulator& acc = accumulators[slot_id];
     DeadlineChecker checker(deadline);
+    const WallTimer scan_timer;
     WallTimer timer;
     bool bail = false;
     while (!bail) {
@@ -254,11 +268,17 @@ QueryResult ParallelVcfvEngine::QueryStreaming(const Graph& query,
           break;
         }
         const Graph& data = db_->graph(static_cast<GraphId>(g));
+        if (!data.MayContain(query)) {
+          if (++acc.screened % kScreenedGraphsPerDeadlinePoll == 0 &&
+              deadline.Expired()) {
+            timed_out.store(true, std::memory_order_relaxed);
+            bail = true;
+          }
+          continue;
+        }
 
-        timer.Restart();
         const FilterData* filter_data =
             slot.matcher->Filter(query, data, &slot.workspace);
-        acc.filter_nanos += timer.ElapsedNanos();
         acc.max_aux = std::max(acc.max_aux, filter_data->MemoryBytes());
 
         if (filter_data->Passed()) {
@@ -308,6 +328,7 @@ QueryResult ParallelVcfvEngine::QueryStreaming(const Graph& query,
       // behavior on TIMEOUT.
       emit_chunk(begin, std::move(chunk_answers));
     }
+    acc.filter_nanos += scan_timer.ElapsedNanos() - acc.verify_nanos;
     scanning.fetch_sub(1, std::memory_order_release);
     if (scheduler_ == nullptr || !scheduler_->CanHelp(slot_id)) return;
     timer.Restart();
@@ -388,6 +409,7 @@ QueryResult ParallelVcfvEngine::QueryIntra(const Graph& query,
     WorkerSlot& slot = *slots_[slot_id];
     SlotAccumulator& acc = accumulators[slot_id];
     DeadlineChecker checker(deadline);
+    const WallTimer scan_timer;
     WallTimer timer;
     bool bail = false;
     while (!bail) {
@@ -400,11 +422,17 @@ QueryResult ParallelVcfvEngine::QueryIntra(const Graph& query,
           break;
         }
         const Graph& data = db_->graph(static_cast<GraphId>(g));
+        if (!data.MayContain(query)) {
+          if (++acc.screened % kScreenedGraphsPerDeadlinePoll == 0 &&
+              deadline.Expired()) {
+            timed_out.store(true, std::memory_order_relaxed);
+            bail = true;
+          }
+          continue;
+        }
 
-        timer.Restart();
         const FilterData* filter_data =
             slot.matcher->Filter(query, data, &slot.workspace);
-        acc.filter_nanos += timer.ElapsedNanos();
         acc.max_aux = std::max(acc.max_aux, filter_data->MemoryBytes());
 
         if (filter_data->Passed()) {
@@ -448,6 +476,7 @@ QueryResult ParallelVcfvEngine::QueryIntra(const Graph& query,
         }
       }
     }
+    acc.filter_nanos += scan_timer.ElapsedNanos() - acc.verify_nanos;
     // Scan share drained (or timed out): help the executors still working
     // on heavy graphs instead of idling out of the parallel region. The
     // release decrement pairs with the acquire loads below.

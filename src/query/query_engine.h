@@ -15,6 +15,13 @@
 
 namespace sgq {
 
+// The vcFV/IvcFV scan loops screen every data graph with
+// Graph::MayContain(query) before the matcher's Filter(). Screening one
+// graph out costs about as much as one clock read, so the loops read the
+// deadline after every graph that reached Filter() but only once per this
+// many screened-out graphs.
+inline constexpr uint64_t kScreenedGraphsPerDeadlinePoll = 64;
+
 class QueryEngine {
  public:
   virtual ~QueryEngine() = default;

@@ -13,17 +13,24 @@
 
 namespace sgq {
 
-// Phase-time convention: for serial engines, filtering_ms/verification_ms
-// are summed wall-clock over the per-graph phases. For parallel engines they
-// are *parallel wall-clock estimates*: the summed per-slot phase nanos
-// divided by the executor count (the pool threads plus the calling thread,
-// which participates in the chunk loop), i.e. the time the phase would
-// occupy with perfect load balance. The two therefore stay comparable
-// across thread counts (a phase that sums to 80 ms over 8 executors reports
-// 10 ms), and QueryMs() approximates the parallel region's wall time rather
-// than the aggregate CPU time.
+// Phase-time convention. IFV engines (and VF2-scan) time their two steps
+// directly: filtering_ms is the index lookup, verification_ms the
+// verification loop. The vcFV/IvcFV scans (and MatchEngine) time only the
+// per-graph verifications, because one clock read costs about as much as
+// screening out one graph: verification_ms is summed wall-clock over the
+// SI tests, and filtering_ms is the scan's wall time minus verification_ms
+// — the index lookup (IvcFV), the label-count screen, every Filter() call
+// and the loop's own overhead, including handing answers to a streaming
+// sink. For parallel engines both are *parallel wall-clock estimates*:
+// per-slot nanos (verification, and the slot's scan wall time minus its
+// verification) summed, then divided by the executor count (the pool
+// threads plus the calling thread, which participates in the chunk loop),
+// i.e. the time the phase would occupy with perfect load balance. The two
+// therefore stay comparable across thread counts (a phase that sums to
+// 80 ms over 8 executors reports 10 ms), and QueryMs() approximates the
+// parallel region's wall time rather than the aggregate CPU time.
 struct QueryStats {
-  double filtering_ms = 0;     // index lookup and/or Φ construction
+  double filtering_ms = 0;     // scan wall time minus verification_ms
   double verification_ms = 0;  // SI tests over C(q)  (Equation 2)
   uint64_t num_candidates = 0; // |C(q)|
   uint64_t num_answers = 0;    // |A(q)|

@@ -66,24 +66,6 @@ TEST(BigraphMatchingTest, BottleneckRightVertex) {
   EXPECT_FALSE(HasSemiPerfectMatching(adj, 1));
 }
 
-TEST(BigraphMatchingTest, HopcroftKarpAgrees) {
-  Rng rng(31337);
-  for (int trial = 0; trial < 200; ++trial) {
-    const uint32_t num_left = 1 + static_cast<uint32_t>(rng.NextBounded(7));
-    const uint32_t num_right = 1 + static_cast<uint32_t>(rng.NextBounded(7));
-    BigraphAdjacency adj(num_left);
-    for (uint32_t l = 0; l < num_left; ++l) {
-      for (uint32_t r = 0; r < num_right; ++r) {
-        if (rng.NextBool(0.35)) adj[l].push_back(r);
-      }
-    }
-    EXPECT_EQ(MaxBipartiteMatchingHopcroftKarp(adj, num_right),
-              MaxBipartiteMatching(adj, num_right))
-        << "trial " << trial;
-  }
-  EXPECT_EQ(MaxBipartiteMatchingHopcroftKarp({}, 0), 0u);
-}
-
 TEST(BigraphMatchingTest, RandomizedAgainstBruteForce) {
   Rng rng(2024);
   for (int trial = 0; trial < 300; ++trial) {

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "gen/graph_gen.h"
+#include "graph/graph_utils.h"
 #include "matching/brute_force.h"
+#include "matching/cfql.h"
+#include "matching/workspace.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -141,6 +144,56 @@ TEST(CflCpiTest, MemoryBytesCountsCpi) {
   const auto data = matcher.Filter(q, g);
   ASSERT_TRUE(data->Passed());
   EXPECT_GT(data->MemoryBytes(), data->phi.MemoryBytes());
+}
+
+TEST(CflCpiTest, RecycledCpiEqualsFreshAfterLargerQuery) {
+  // One workspace serves a large query and then a smaller one against the
+  // same data graphs, so the second Filter() reuses a CpiData (tree,
+  // children lists, order) and 2-core/BFS scratch sized for the first.
+  Rng rng(913);
+  const std::vector<Label> labels = {0, 1, 2};
+  CflMatcher matcher;
+  CfqlMatcher cfql;
+  MatchWorkspace ws;
+  MatchWorkspace phi_ws;
+  int passed = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Graph g = GenerateRandomGraph(40, 4.0, labels, &rng);
+    const uint32_t n = trial % 2 == 0 ? 9 : 3;
+    const Graph q = GenerateRandomGraph(n, 2.4, labels, &rng);
+    if (!IsConnected(q)) continue;
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    const auto fresh = matcher.Filter(q, g);
+    const CpiData& expected = AsCpi(*fresh);
+    const CpiData& recycled = AsCpi(*matcher.Filter(q, g, &ws));
+    ASSERT_EQ(recycled.phi.NumQueryVertices(), n);
+    for (VertexId u = 0; u < n; ++u) {
+      EXPECT_EQ(recycled.phi.set(u), expected.phi.set(u));
+    }
+    EXPECT_EQ(recycled.Passed(), expected.Passed());
+    if (!expected.Passed()) continue;
+    ++passed;
+    EXPECT_EQ(recycled.tree.root, expected.tree.root);
+    EXPECT_EQ(recycled.tree.parent, expected.tree.parent);
+    EXPECT_EQ(recycled.tree.order, expected.tree.order);
+    EXPECT_EQ(recycled.tree.children, expected.tree.children);
+    EXPECT_EQ(recycled.children, expected.children);
+    EXPECT_EQ(recycled.matching_order, expected.matching_order);
+
+    // CFQL's filter stops at Φ: the same Φ and tree, no CPI edges or order.
+    const CpiData& phi_only = AsCpi(*cfql.Filter(q, g, &phi_ws));
+    for (VertexId u = 0; u < n; ++u) {
+      EXPECT_EQ(phi_only.phi.set(u), expected.phi.set(u));
+    }
+    EXPECT_EQ(phi_only.tree.order, expected.tree.order);
+    EXPECT_TRUE(phi_only.children.empty());
+    EXPECT_TRUE(phi_only.matching_order.empty());
+    EXPECT_LT(cfql.Filter(q, g)->MemoryBytes(), expected.MemoryBytes());
+    EXPECT_EQ(cfql.Enumerate(q, g, phi_only, UINT64_MAX, nullptr, &phi_ws)
+                  .embeddings,
+              BruteForceEnumerate(q, g, UINT64_MAX));
+  }
+  EXPECT_GT(passed, 10);
 }
 
 TEST(CflCpiTest, SingleVertexQueryWorks) {

@@ -273,6 +273,34 @@ TEST(CsrSnapshotTest, MappedGraphMemoryBytesCountsViewedArrays) {
   std::remove(path.c_str());
 }
 
+TEST(CsrSnapshotTest, MayContainReadsTheMappedLabelIndex) {
+  const std::string path = TempPath("maycontain");
+  const GraphDatabase db = SmallDatabase();
+  std::string error;
+  ASSERT_TRUE(WriteSnapshot(db, path, &error)) << error;
+  GraphDatabase loaded;
+  ASSERT_TRUE(LoadSnapshot(path, &loaded, &error)) << error;
+  ASSERT_EQ(loaded.size(), db.size());
+  // Every (query, data) pair of the database, with queries and data graphs
+  // taken from either storage mode: the screen reads the same label index.
+  uint64_t rejected = 0;
+  for (GraphId q = 0; q < db.size(); ++q) {
+    for (GraphId g = 0; g < db.size(); ++g) {
+      SCOPED_TRACE(::testing::Message() << "query " << q << " data " << g);
+      ASSERT_TRUE(loaded.graph(g).IsMapped());
+      const bool owned = db.graph(g).MayContain(db.graph(q));
+      EXPECT_EQ(loaded.graph(g).MayContain(db.graph(q)), owned);
+      EXPECT_EQ(loaded.graph(g).MayContain(loaded.graph(q)), owned);
+      EXPECT_EQ(db.graph(g).MayContain(loaded.graph(q)), owned);
+      rejected += owned ? 0 : 1;
+    }
+    EXPECT_TRUE(loaded.graph(q).MayContain(loaded.graph(q)));
+  }
+  // The graphs differ in size and label counts, so some pairs are screened.
+  EXPECT_GT(rejected, 0u);
+  std::remove(path.c_str());
+}
+
 TEST(CsrSnapshotTest, PowerLawRoundTrip) {
   const std::string path = TempPath("powerlaw");
   PowerLawParams params;

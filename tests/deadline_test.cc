@@ -79,6 +79,50 @@ TEST(DeadlineTest, MatchEngineHonorsExpiredDeadline) {
   EXPECT_EQ(r.stats.si_tests, 0u);
 }
 
+// Accepts every streamed answer (selects the engines' streaming scans).
+class AcceptAllSink : public ResultSink {
+ public:
+  bool OnAnswer(GraphId) override { return true; }
+};
+
+TEST(DeadlineTest, DeadlineExpiringInsideAScreenedStretchTimesOut) {
+  // 50,000 one-vertex graphs whose label the query lacks: the label-count
+  // screen rejects every one before Filter(), and the scan reads the clock
+  // only once per kScreenedGraphsPerDeadlinePoll of them. A deadline that
+  // expires during that stretch must still end the query as timed out.
+  // Scanning takes far longer than the 2 us budget, so the expiry lands
+  // either at the entry check or mid-scan; both must report timed_out.
+  GraphDatabase db;
+  const Graph lone = ::sgq::testing::MakePath({7});
+  for (int i = 0; i < 50000; ++i) db.Add(lone);
+  const Graph query = ::sgq::testing::MakePath({0, 1});
+
+  for (const char* name : {"CFL", "GraphQL", "CFQL", "TurboIso",
+                           "CFQL-parallel", "CFQL-parallel-intra"}) {
+    SCOPED_TRACE(name);
+    EngineConfig config;
+    config.parallel_threads = 2;
+    auto engine = MakeEngine(name, config);
+    ASSERT_TRUE(engine->Prepare(db, Deadline::Infinite()));
+    const QueryResult full = engine->Query(query, Deadline::Infinite());
+    EXPECT_FALSE(full.stats.timed_out);
+    EXPECT_TRUE(full.answers.empty());
+    EXPECT_EQ(full.stats.ws_filter_hits + full.stats.ws_filter_misses, 0u);
+
+    EXPECT_TRUE(
+        engine->Query(query, Deadline::AfterSeconds(2e-6)).stats.timed_out);
+    AcceptAllSink sink;
+    EXPECT_TRUE(engine->Query(query, Deadline::AfterSeconds(2e-6), &sink)
+                    .stats.timed_out);
+  }
+
+  MatchEngine match(std::make_unique<CfqlMatcher>());
+  ASSERT_TRUE(match.Prepare(db, Deadline::Infinite()));
+  EXPECT_FALSE(match.Match(query).stats.timed_out);
+  EXPECT_TRUE(match.Match(query, MatchOptions{}, Deadline::AfterSeconds(2e-6))
+                  .stats.timed_out);
+}
+
 TEST(DeadlineTest, ExpiredPrepareStillFailsForIndexEngines) {
   const GraphDatabase db = SmallDb();
   for (const char* name : {"Grapes", "GGSX", "CT-Index"}) {

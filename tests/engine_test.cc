@@ -6,14 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 
+#include "gen/dataset_profiles.h"
 #include "gen/graph_gen.h"
 #include "gen/query_gen.h"
 #include "graph/graph_utils.h"
+#include "index/ggsx_index.h"
+#include "index/grapes_index.h"
 #include "matching/brute_force.h"
+#include "matching/cfql.h"
 #include "matching/matcher.h"
 #include "matching/workspace.h"
+#include "query/match_engine.h"
 #include "query/stats.h"
 #include "tests/test_util.h"
 #include "util/intersect.h"
@@ -334,6 +341,269 @@ TEST(EngineUpdateTest, VcfvAnswersStayCorrectAfterDatabaseChanges) {
 
   db.Remove(static_cast<GraphId>(db.size() - 1));
   EXPECT_EQ(engine->Query(q).answers.size(), before);
+}
+
+// ---- the label-count screen ahead of the vcFV/IvcFV filter ---------------
+
+// Reference for Graph::MayContain: per-label counts through a map.
+bool NaiveMayContain(const Graph& query, const Graph& data) {
+  if (query.NumEdges() > data.NumEdges()) return false;
+  std::map<Label, uint32_t> need;
+  for (VertexId u = 0; u < query.NumVertices(); ++u) ++need[query.label(u)];
+  for (const auto& [label, count] : need) {
+    if (data.NumVerticesWithLabel(label) < count) return false;
+  }
+  return true;
+}
+
+struct ScreenDatabase {
+  std::string name;
+  GraphDatabase db;
+  uint32_t num_labels;  // |Σ|, the relabeling universe
+};
+
+// One label (the screen can only reject on edge counts), four, and 61
+// (most pairs fail a label count), plus the AIDS stand-in.
+std::vector<ScreenDatabase> ScreenDatabases() {
+  std::vector<ScreenDatabase> dbs;
+  for (uint32_t labels : {1u, 4u, 61u}) {
+    SyntheticParams params;
+    params.num_graphs = 30;
+    params.vertices_per_graph = 16;
+    params.degree = 3.0;
+    params.num_labels = labels;
+    params.labels_per_graph = labels == 61 ? 6 : 0;
+    params.seed = 500 + labels;
+    dbs.push_back({"synthetic-" + std::to_string(labels),
+                   GenerateSyntheticDatabase(params), labels});
+  }
+  const DatasetProfile& aids = ProfileByName("AIDS");
+  dbs.push_back({"AIDS", GenerateStandIn(aids, 0.001, 1.0, 17),
+                 aids.num_labels});
+  return dbs;
+}
+
+// A copy of `graph` with each vertex relabeled, with probability 1/3, to a
+// label drawn uniformly from [0, num_labels).
+Graph RandomlyRelabeled(const Graph& graph, uint32_t num_labels, Rng* rng) {
+  GraphBuilder builder;
+  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+    builder.AddVertex(rng->NextBounded(3) == 0
+                          ? static_cast<Label>(rng->NextBounded(num_labels))
+                          : graph.label(u));
+  }
+  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+    for (VertexId v : graph.Neighbors(u)) {
+      if (u < v) builder.AddEdge(u, v);
+    }
+  }
+  return builder.Build();
+}
+
+// Generated sparse and dense queries of 2-6 edges, each followed by a
+// randomly relabeled copy.
+std::vector<Graph> ScreenQueries(const ScreenDatabase& sdb, uint64_t seed) {
+  std::vector<Graph> queries;
+  Rng rng(seed);
+  for (int trial = 0; trial < 8; ++trial) {
+    Graph q;
+    const QueryKind kind =
+        trial % 2 == 0 ? QueryKind::kSparse : QueryKind::kDense;
+    if (!GenerateQuery(sdb.db, kind, 2 + trial % 5, &rng, &q)) continue;
+    queries.push_back(RandomlyRelabeled(q, sdb.num_labels, &rng));
+    queries.push_back(std::move(q));
+  }
+  return queries;
+}
+
+std::vector<GraphId> OracleAnswers(const Graph& query,
+                                   const GraphDatabase& db) {
+  std::vector<GraphId> answers;
+  for (GraphId g = 0; g < db.size(); ++g) {
+    if (BruteForceContains(query, db.graph(g))) answers.push_back(g);
+  }
+  return answers;
+}
+
+TEST(ScreenTest, AdmitsEveryGraphTheOracleEmbedsInto) {
+  for (const ScreenDatabase& sdb : ScreenDatabases()) {
+    uint64_t admitted = 0, rejected = 0;
+    for (const Graph& q : ScreenQueries(sdb, 71)) {
+      for (GraphId g = 0; g < sdb.db.size(); ++g) {
+        const Graph& data = sdb.db.graph(g);
+        SCOPED_TRACE(::testing::Message() << sdb.name << " graph " << g);
+        const bool screen = data.MayContain(q);
+        EXPECT_EQ(screen, NaiveMayContain(q, data));
+        if (BruteForceContains(q, data)) {
+          EXPECT_TRUE(screen);
+        }
+        ++(screen ? admitted : rejected);
+      }
+    }
+    SCOPED_TRACE(sdb.name);
+    EXPECT_GT(admitted, 0u);
+    // With one label only |E(q)| > |E(G)| could reject, and these small
+    // queries never have more edges than a data graph.
+    if (sdb.num_labels > 1) {
+      EXPECT_GT(rejected, 0u);
+    }
+  }
+}
+
+// Records the streamed ids and stops the scan after `limit` of them.
+class LimitSink : public ResultSink {
+ public:
+  explicit LimitSink(size_t limit) : limit_(limit) {}
+  bool OnAnswer(GraphId id) override {
+    seen.push_back(id);
+    return seen.size() < limit_;
+  }
+  std::vector<GraphId> seen;
+
+ private:
+  size_t limit_;
+};
+
+TEST(ScreenedScanTest, EveryScanEngineEqualsOracleInBatchStreamAndLimit) {
+  struct Spec {
+    std::string label;
+    std::string name;
+    EngineConfig config;
+  };
+  std::vector<Spec> specs = {{"CFL", "CFL", {}},
+                             {"GraphQL", "GraphQL", {}},
+                             {"CFQL", "CFQL", {}},
+                             {"vcGrapes", "vcGrapes", {}},
+                             {"vcGGSX", "vcGGSX", {}}};
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    EngineConfig config;
+    config.parallel_threads = threads;
+    config.parallel_chunk = 3;
+    specs.push_back({"CFQL-parallel/" + std::to_string(threads),
+                     "CFQL-parallel", config});
+  }
+  EngineConfig intra;
+  intra.parallel_threads = 4;
+  intra.parallel_chunk = 3;
+  intra.intra_heavy_threshold = 1;  // every verification through stealing
+  specs.push_back({"CFQL-parallel-intra", "CFQL-parallel-intra", intra});
+
+  for (const ScreenDatabase& sdb : ScreenDatabases()) {
+    if (sdb.name == "AIDS") continue;  // the property test covers it
+    const std::vector<Graph> queries = ScreenQueries(sdb, 83);
+    // The IvcFV engines' indexes, built the same way (default options), so
+    // their screened-in candidates can be counted exactly.
+    GrapesIndex grapes;
+    GgsxIndex ggsx;
+    ASSERT_TRUE(grapes.Build(sdb.db, Deadline::Infinite()));
+    ASSERT_TRUE(ggsx.Build(sdb.db, Deadline::Infinite()));
+    auto admitted_among = [&](const Graph& q, std::vector<GraphId> ids) {
+      return static_cast<uint64_t>(
+          std::count_if(ids.begin(), ids.end(), [&](GraphId g) {
+            return sdb.db.graph(g).MayContain(q);
+          }));
+    };
+    std::vector<GraphId> all_ids(sdb.db.size());
+    std::iota(all_ids.begin(), all_ids.end(), 0);
+
+    std::vector<std::vector<GraphId>> oracle;
+    // Per query: graphs the screen admits among all graphs and among each
+    // index's candidates — exactly the graphs each engine runs Filter() on.
+    std::vector<std::map<std::string, uint64_t>> filter_calls;
+    size_t multi_answer_queries = 0;
+    for (const Graph& q : queries) {
+      oracle.push_back(OracleAnswers(q, sdb.db));
+      multi_answer_queries += oracle.back().size() >= 2 ? 1 : 0;
+      filter_calls.push_back(
+          {{"scan", admitted_among(q, all_ids)},
+           {"vcGrapes", admitted_among(q, grapes.FilterCandidates(q))},
+           {"vcGGSX", admitted_among(q, ggsx.FilterCandidates(q))}});
+    }
+    // LIMIT 1 and 2 must actually cut some answer lists short.
+    EXPECT_GT(multi_answer_queries, 0u) << sdb.name;
+    for (const Spec& spec : specs) {
+      auto engine = MakeEngine(spec.name, spec.config);
+      ASSERT_TRUE(engine->Prepare(sdb.db, Deadline::Infinite()));
+      const std::string scan =
+          spec.name == "vcGrapes" || spec.name == "vcGGSX" ? spec.name
+                                                           : "scan";
+      for (size_t i = 0; i < queries.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << sdb.name << " " << spec.label
+                                          << " query " << i);
+        const QueryResult batch = engine->Query(queries[i]);
+        EXPECT_EQ(batch.answers, oracle[i]);
+        EXPECT_FALSE(batch.stats.timed_out);
+        EXPECT_GE(batch.stats.num_candidates, oracle[i].size());
+        EXPECT_LE(batch.stats.num_candidates, filter_calls[i].at(scan));
+        EXPECT_EQ(batch.stats.ws_filter_hits + batch.stats.ws_filter_misses,
+                  filter_calls[i].at(scan));
+
+        LimitSink all(SIZE_MAX);
+        const QueryResult streamed =
+            engine->Query(queries[i], Deadline::Infinite(), &all);
+        EXPECT_EQ(streamed.answers, oracle[i]);
+        EXPECT_EQ(all.seen, oracle[i]);
+        EXPECT_EQ(streamed.stats.num_candidates, batch.stats.num_candidates);
+        EXPECT_EQ(streamed.stats.si_tests, batch.stats.si_tests);
+
+        for (size_t limit : {size_t{1}, size_t{2}}) {
+          const std::vector<GraphId> prefix(
+              oracle[i].begin(),
+              oracle[i].begin() + std::min(limit, oracle[i].size()));
+          LimitSink sink(limit);
+          const QueryResult limited =
+              engine->Query(queries[i], Deadline::Infinite(), &sink);
+          EXPECT_EQ(limited.answers, prefix) << "limit " << limit;
+          EXPECT_EQ(sink.seen, prefix) << "limit " << limit;
+        }
+      }
+    }
+
+    // MatchEngine: the pure CFQL sweep finds exactly the oracle's graphs.
+    MatchEngine match(std::make_unique<CfqlMatcher>());
+    ASSERT_TRUE(match.Prepare(sdb.db, Deadline::Infinite()));
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << sdb.name << " MatchEngine query "
+                                        << i);
+      for (uint64_t per_graph_limit : {uint64_t{1}, UINT64_MAX}) {
+        const MatchResult r = match.Match(queries[i], {per_graph_limit});
+        std::vector<GraphId> graphs;
+        for (const GraphMatches& m : r.matches) graphs.push_back(m.graph);
+        EXPECT_EQ(graphs, oracle[i]);
+        EXPECT_EQ(r.stats.ws_filter_hits + r.stats.ws_filter_misses,
+                  filter_calls[i].at("scan"));
+      }
+    }
+  }
+}
+
+TEST(ScreenedScanTest, IndexCandidatesAreScreenedToo) {
+  // The 6-cycle 0-1-2-3-4-5 holds every path of up to 4 edges that the
+  // 7-vertex path 0-1-2-3-4-5-0 holds, so GGSX (path presence) keeps it as
+  // a candidate (Grapes' occurrence counts already drop it), and CFL's
+  // filter maps both label-0 ends onto its single label-0 vertex. Only the
+  // label count rules it out.
+  GraphDatabase db;
+  db.Add(MakeCycle({0, 1, 2, 3, 4, 5}));
+  db.Add(MakePath({0, 1, 2, 3, 4, 5, 0, 1}));
+  const Graph q = MakePath({0, 1, 2, 3, 4, 5, 0});
+  ASSERT_FALSE(db.graph(0).MayContain(q));
+  GrapesIndex grapes;
+  GgsxIndex ggsx;
+  ASSERT_TRUE(grapes.Build(db, Deadline::Infinite()));
+  ASSERT_TRUE(ggsx.Build(db, Deadline::Infinite()));
+  EXPECT_EQ(grapes.FilterCandidates(q), (std::vector<GraphId>{1}));
+  EXPECT_EQ(ggsx.FilterCandidates(q), (std::vector<GraphId>{0, 1}));
+  EXPECT_TRUE(CflMatcher().Filter(q, db.graph(0))->Passed());
+  for (const char* name : {"CFL", "CFQL", "vcGrapes", "vcGGSX"}) {
+    SCOPED_TRACE(name);
+    auto engine = MakeEngine(name);
+    ASSERT_TRUE(engine->Prepare(db, Deadline::Infinite()));
+    const QueryResult r = engine->Query(q);
+    EXPECT_EQ(r.answers, std::vector<GraphId>{1});
+    EXPECT_EQ(r.stats.num_candidates, 1u);
+    EXPECT_EQ(r.stats.ws_filter_hits + r.stats.ws_filter_misses, 1u);
+  }
 }
 
 TEST(SummarizeTest, AggregatesPerPaperFormulas) {

@@ -95,6 +95,43 @@ TEST(GraphTest, MemoryBytesPositive) {
   EXPECT_GT(g.MemoryBytes(), 0u);
 }
 
+TEST(GraphTest, MayContainChecksEdgesAndEveryLabelCount) {
+  // Data: labels {0: 2 vertices, 1: 1, 3: 1}, 3 edges.
+  const Graph data = MakeGraph({0, 1, 0, 3}, {{0, 1}, {1, 2}, {2, 3}});
+  EXPECT_TRUE(data.MayContain(data));
+  EXPECT_TRUE(data.MayContain(MakePath({0, 1, 0})));
+  EXPECT_TRUE(data.MayContain(MakePath({3})));
+  // A label the data graph lacks, below, between and above its labels.
+  EXPECT_FALSE(data.MayContain(MakePath({0, 2})));
+  EXPECT_FALSE(data.MayContain(MakePath({5})));
+  EXPECT_FALSE(data.MayContain(MakeGraph({0, 1, 0, 3, 4}, {})));
+  // Every label present, one of them too often.
+  EXPECT_FALSE(data.MayContain(MakePath({1, 0, 1})));
+  EXPECT_FALSE(data.MayContain(MakeGraph({0, 0, 0}, {})));
+  // The screen sees only counts: a triangle on labels 0,1,0 has as many
+  // edges as the data graph and passes (the matcher's filter rejects it),
+  // while a 4-cycle on all four labels has one edge too many.
+  EXPECT_TRUE(data.MayContain(MakeGraph({0, 1, 0}, {{0, 1}, {1, 2}, {2, 0}})));
+  EXPECT_FALSE(data.MayContain(
+      MakeGraph({0, 1, 0, 3}, {{0, 1}, {1, 2}, {2, 3}, {3, 0}})));
+  // The empty query fits anywhere; nothing but the empty query fits the
+  // empty graph.
+  EXPECT_TRUE(data.MayContain(Graph()));
+  EXPECT_TRUE(Graph().MayContain(Graph()));
+  EXPECT_FALSE(Graph().MayContain(MakePath({0})));
+}
+
+TEST(GraphTest, MayContainHandlesSparseLabelsUpToMax) {
+  const Graph data = MakeGraph({kMaxLabel, 7, 1000000, kMaxLabel, 7},
+                               {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  EXPECT_TRUE(data.MayContain(MakePath({kMaxLabel, 7, 1000000})));
+  EXPECT_TRUE(data.MayContain(MakePath({kMaxLabel, 7, kMaxLabel})));
+  EXPECT_FALSE(data.MayContain(MakePath({kMaxLabel, kMaxLabel, kMaxLabel})));
+  EXPECT_FALSE(data.MayContain(MakePath({kMaxLabel - 1})));
+  EXPECT_FALSE(data.MayContain(MakePath({1000000, 1000001})));
+  EXPECT_FALSE(data.MayContain(MakePath({0, 7})));
+}
+
 TEST(GraphDatabaseTest, AddAndRemove) {
   GraphDatabase db;
   EXPECT_TRUE(db.empty());

@@ -160,11 +160,15 @@ TEST(ParallelDeterminismTest, WorkspaceHitRateClimbsAfterWarmup) {
   // A slot allocates at most once over the engine's lifetime (its first
   // graph); every other Filter() is a hit. Which query a slot first
   // participates in depends on scheduling, so the bound is cumulative.
+  // Every graph the label-count screen admits reaches Filter() once.
   uint64_t hits = 0, misses = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     const QueryResult r = engine.Query(queries[i], Deadline::Infinite());
-    EXPECT_EQ(r.stats.ws_filter_hits + r.stats.ws_filter_misses,
-              static_cast<uint64_t>(db.size()))
+    uint64_t admitted = 0;
+    for (GraphId g = 0; g < db.size(); ++g) {
+      admitted += db.graph(g).MayContain(queries[i]) ? 1 : 0;
+    }
+    EXPECT_EQ(r.stats.ws_filter_hits + r.stats.ws_filter_misses, admitted)
         << "query " << i;
     hits += r.stats.ws_filter_hits;
     misses += r.stats.ws_filter_misses;
@@ -175,6 +179,80 @@ TEST(ParallelDeterminismTest, WorkspaceHitRateClimbsAfterWarmup) {
   // The acceptance bar for the workload: >90% of Filter() calls recycled.
   EXPECT_GT(static_cast<double>(hits) / static_cast<double>(hits + misses),
             0.9);
+}
+
+// A 61-label database where the label-count screen rejects most
+// (query, graph) pairs before Filter(): every parallel scan mode (batch,
+// streaming, intra) must screen the same graphs as the serial engine and so
+// report the same candidates and SI tests.
+TEST(ParallelDeterminismTest, ScreenedScanMatchesSerialInEveryMode) {
+  SyntheticParams params;
+  params.num_graphs = 90;
+  params.vertices_per_graph = 24;
+  params.degree = 3.0;
+  params.num_labels = 61;
+  params.labels_per_graph = 6;
+  params.seed = 61;
+  const GraphDatabase db = GenerateSyntheticDatabase(params);
+  const std::vector<Graph> queries = MakeQueries(db, 6, 67);
+
+  auto serial = MakeEngine("CFQL");
+  ASSERT_TRUE(serial->Prepare(db, Deadline::Infinite()));
+  std::vector<QueryResult> expected;
+  uint64_t filter_calls = 0;
+  for (const Graph& q : queries) {
+    expected.push_back(serial->Query(q));
+    filter_calls += expected.back().stats.ws_filter_hits +
+                    expected.back().stats.ws_filter_misses;
+  }
+  // The screen must have rejected most pairs for this test to mean much.
+  EXPECT_LT(filter_calls, queries.size() * db.size() / 2);
+
+  // Collects every streamed id; never stops the scan.
+  class CollectSink : public ResultSink {
+   public:
+    bool OnAnswer(GraphId id) override {
+      ids.push_back(id);
+      return true;
+    }
+    std::vector<GraphId> ids;
+  };
+
+  for (bool intra_on : {false, true}) {
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      for (uint32_t chunk : {1u, 7u, 0u}) {
+        IntraQueryConfig intra;
+        intra.enabled = intra_on;
+        intra.heavy_threshold = 1;
+        ParallelVcfvEngine parallel(
+            "CFQL-parallel", [] { return std::make_unique<CfqlMatcher>(); },
+            threads, chunk, intra);
+        ASSERT_TRUE(parallel.Prepare(db, Deadline::Infinite()));
+        for (size_t i = 0; i < queries.size(); ++i) {
+          SCOPED_TRACE(::testing::Message()
+                       << "intra=" << intra_on << " threads=" << threads
+                       << " chunk=" << chunk << " query=" << i);
+          const QueryResult batch =
+              parallel.Query(queries[i], Deadline::Infinite());
+          CollectSink sink;
+          const QueryResult streamed =
+              parallel.Query(queries[i], Deadline::Infinite(), &sink);
+          for (const QueryResult* actual : {&batch, &streamed}) {
+            EXPECT_EQ(actual->answers, expected[i].answers);
+            EXPECT_EQ(actual->stats.num_candidates,
+                      expected[i].stats.num_candidates);
+            EXPECT_EQ(actual->stats.si_tests, expected[i].stats.si_tests);
+            EXPECT_EQ(actual->stats.ws_filter_hits +
+                          actual->stats.ws_filter_misses,
+                      expected[i].stats.ws_filter_hits +
+                          expected[i].stats.ws_filter_misses);
+            EXPECT_FALSE(actual->stats.timed_out);
+          }
+          EXPECT_EQ(sink.ids, expected[i].answers);
+        }
+      }
+    }
+  }
 }
 
 // ---- intra-query stealing (this PR's tentpole) -----------------------------

@@ -71,8 +71,14 @@ class LimitSink : public ResultSink {
 class SnapshotQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    text_path_ = ::testing::TempDir() + "snapshot_query_db.txt";
-    snap_path_ = ::testing::TempDir() + "snapshot_query_db.csr";
+    // One file pair per test: ctest runs each test as its own process, in
+    // parallel, and a shared name lets one test's TearDown delete (or its
+    // SetUp rewrite) the files another test is loading.
+    const std::string stem =
+        ::testing::TempDir() + "snapshot_query_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    text_path_ = stem + ".txt";
+    snap_path_ = stem + ".csr";
     GraphDatabase db = MakeDb();
     std::string error;
     ASSERT_TRUE(SaveDatabase(db, text_path_, &error)) << error;
