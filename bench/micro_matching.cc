@@ -224,14 +224,13 @@ void BM_BipartiteMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_BipartiteMatching)->Arg(8)->Arg(32)->Arg(128);
 
-// --- extension-path enumeration (dense workload) ---------------------------
+// --- list-kernel enumeration (dense workload) ------------------------------
 // The paper's dense queries (Q_iD, Fig. 7) are where the extension step
-// dominates: each new query vertex has several backward neighbors, so the
-// per-candidate HasEdge probe scan of the legacy path does
-// |Φ(u)| * |backward| binary searches per search node, while the
-// intersection path computes the local candidate set once. Identical
-// enumeration (bit-identical embeddings) — only the extension mechanism
-// differs, so the probe/adaptive ratio is the pure kernel speedup.
+// dominates: each new query vertex has several backward neighbors, and the
+// list kernel computes each node's local candidate set with adaptive
+// sorted-list intersections. The 600-vertex data graph is too large for
+// the word kernel, so these isolate the intersection kernels (SIMD on and
+// off).
 struct DenseEnumFixture {
   Graph data;
   std::vector<Graph> queries;  // dense (Q_iD-style) queries
@@ -258,7 +257,7 @@ const DenseEnumFixture& GetDenseEnumFixture() {
   return fixture;
 }
 
-void EnumerateDense(benchmark::State& state, ExtensionPath path) {
+void EnumerateDense(benchmark::State& state) {
   const DenseEnumFixture& f = GetDenseEnumFixture();
   const GraphQlMatcher matcher;
   MatchWorkspace ws;
@@ -276,7 +275,7 @@ void EnumerateDense(benchmark::State& state, ExtensionPath path) {
           JoinBasedOrder(f.queries[i], filtered[i]->phi, &ws);
       const EnumerateResult er = BacktrackOverCandidates(
           f.queries[i], f.data, filtered[i]->phi, order,
-          /*limit=*/10000, nullptr, nullptr, &ws, path);
+          /*limit=*/10000, nullptr, nullptr, &ws);
       embeddings += er.embeddings;
       intersect_calls += er.intersect_calls;
       ++enumerations;
@@ -294,25 +293,15 @@ void EnumerateDense(benchmark::State& state, ExtensionPath path) {
                               static_cast<double>(enumerations));
 }
 
-void BM_EnumerateDenseProbe(benchmark::State& state) {
-  EnumerateDense(state, ExtensionPath::kProbe);
-}
-BENCHMARK(BM_EnumerateDenseProbe)->Unit(benchmark::kMillisecond);
-
-void BM_EnumerateDenseIntersect(benchmark::State& state) {
-  EnumerateDense(state, ExtensionPath::kIntersect);
-}
-BENCHMARK(BM_EnumerateDenseIntersect)->Unit(benchmark::kMillisecond);
-
 void BM_EnumerateDenseAdaptive(benchmark::State& state) {
-  EnumerateDense(state, ExtensionPath::kAdaptive);
+  EnumerateDense(state);
 }
 BENCHMARK(BM_EnumerateDenseAdaptive)->Unit(benchmark::kMillisecond);
 
 void BM_EnumerateDenseAdaptiveScalar(benchmark::State& state) {
   const bool saved = IntersectSimdEnabled();
   SetIntersectSimdEnabled(false);
-  EnumerateDense(state, ExtensionPath::kAdaptive);
+  EnumerateDense(state);
   SetIntersectSimdEnabled(saved);
 }
 BENCHMARK(BM_EnumerateDenseAdaptiveScalar)->Unit(benchmark::kMillisecond);
@@ -599,7 +588,7 @@ struct StealFixture {
           serial_flat.insert(serial_flat.end(), m.begin(), m.end());
           return true;
         },
-        &ws, DefaultExtensionPath());
+        &ws);
     expected_embeddings = serial.embeddings;
     SGQ_CHECK_GT(expected_embeddings, 0u);
     // Warm serial baseline for speedup_vs_serial (best of three, with the
@@ -608,8 +597,7 @@ struct StealFixture {
     for (int rep = 0; rep < 3; ++rep) {
       WallTimer timer;
       const EnumerateResult er = BacktrackOverCandidates(
-          query, data, filtered->phi, order, limit, nullptr, nullptr, &ws,
-          DefaultExtensionPath());
+          query, data, filtered->phi, order, limit, nullptr, nullptr, &ws);
       const double ns = static_cast<double>(timer.ElapsedNanos());
       SGQ_CHECK(er.embeddings == expected_embeddings);
       if (serial_ns == 0 || ns < serial_ns) serial_ns = ns;
@@ -636,7 +624,7 @@ struct StealFixture {
           steal_flat.insert(steal_flat.end(), m.begin(), m.end());
           return true;
         },
-        &owner_ws, DefaultExtensionPath());
+        &owner_ws);
     done.store(true, std::memory_order_release);
     for (std::thread& h : helpers) h.join();
     SGQ_CHECK(stolen.embeddings == serial.embeddings &&
@@ -667,7 +655,7 @@ void BM_EnumerateStealSerial(benchmark::State& state) {
     WallTimer timer;
     const EnumerateResult er = BacktrackOverCandidates(
         f.query, f.data, f.filtered->phi, f.order, f.limit, nullptr, nullptr,
-        &ws, DefaultExtensionPath());
+        &ws);
     const double ns = static_cast<double>(timer.ElapsedNanos());
     benchmark::DoNotOptimize(er.embeddings);
     if (min_ns == 0 || ns < min_ns) min_ns = ns;
@@ -706,7 +694,7 @@ void BM_EnumerateSteal(benchmark::State& state) {
     WallTimer timer;
     const EnumerateResult er = sched.Enumerate(
         0, f.query, f.data, f.filtered->phi, f.order, f.limit,
-        Deadline::Infinite(), nullptr, &owner_ws, DefaultExtensionPath());
+        Deadline::Infinite(), nullptr, &owner_ws);
     const double ns = static_cast<double>(timer.ElapsedNanos());
     benchmark::DoNotOptimize(er.embeddings);
     ++iterations;

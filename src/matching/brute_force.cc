@@ -5,21 +5,72 @@
 
 namespace sgq {
 
+namespace {
+
+// The oracle's own search, sharing no code with the matchers it checks:
+// query vertices in BFS order from vertex 0, each tried against its label
+// bucket in ascending order, keeping a candidate iff it is unused and
+// adjacent (HasEdge) to the image of every already-mapped query neighbor.
+struct BruteForceSearch {
+  const Graph& query;
+  const Graph& data;
+  const std::vector<VertexId>& order;
+  uint64_t limit;
+  const EmbeddingCallback& callback;
+  std::vector<VertexId> mapping;
+  std::vector<char> used;
+  uint64_t found = 0;
+
+  // Returns false once the search should stop.
+  bool Extend(size_t depth) {
+    if (depth == order.size()) {
+      ++found;
+      if (callback && !callback(mapping)) return false;
+      return found < limit;
+    }
+    const VertexId u = order[depth];
+    for (VertexId v : data.VerticesWithLabel(query.label(u))) {
+      if (used[v] || !AdjacentToMappedNeighbors(u, v)) continue;
+      mapping[u] = v;
+      used[v] = 1;
+      const bool keep_going = Extend(depth + 1);
+      used[v] = 0;
+      mapping[u] = kInvalidVertex;
+      if (!keep_going) return false;
+    }
+    return true;
+  }
+
+  bool AdjacentToMappedNeighbors(VertexId u, VertexId v) const {
+    for (VertexId w : query.Neighbors(u)) {
+      if (mapping[w] != kInvalidVertex && !data.HasEdge(mapping[w], v)) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+}  // namespace
+
 uint64_t BruteForceEnumerate(const Graph& query, const Graph& data,
                              uint64_t limit,
                              const EmbeddingCallback& callback) {
   SGQ_CHECK_GT(query.NumVertices(), 0u);
   if (data.NumVertices() == 0 || limit == 0) return 0;
-  // Label-only candidate sets + BFS order, then the shared backtracker.
-  CandidateSets phi(query.NumVertices());
-  for (VertexId u = 0; u < query.NumVertices(); ++u) {
-    const auto with_label = data.VerticesWithLabel(query.label(u));
-    phi.mutable_set(u).assign(with_label.begin(), with_label.end());
-  }
   const BfsTree tree = BuildBfsTree(query, 0);
-  const EnumerateResult result = BacktrackOverCandidates(
-      query, data, phi, tree.order, limit, /*checker=*/nullptr, callback);
-  return result.embeddings;
+  SGQ_CHECK_EQ(tree.order.size(), query.NumVertices())
+      << "query must be connected";
+  BruteForceSearch search{query,
+                          data,
+                          tree.order,
+                          limit,
+                          callback,
+                          std::vector<VertexId>(query.NumVertices(),
+                                                kInvalidVertex),
+                          std::vector<char>(data.NumVertices(), 0)};
+  search.Extend(0);
+  return search.found;
 }
 
 bool BruteForceContains(const Graph& query, const Graph& data) {

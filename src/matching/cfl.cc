@@ -254,12 +254,31 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
   for (uint32_t i = 0; i < n; ++i) order_pos[tree.order[i]] = i;
 
   // --- Top-down generation with backward pruning ------------------------
-  // cnt[w] counts how many backward neighbors of the current query vertex
-  // have a candidate adjacent to w; incremented only when cnt[w] == k while
-  // processing the k-th backward neighbor, which both dedups per-neighbor
-  // contributions and intersects across neighbors.
+  // A candidate v of u must be adjacent to some candidate of every backward
+  // neighbor u'. On a data graph that fits in a word that is one AND of
+  // reach words (the OR of adj_rows over Φ(u')), recorded once Φ(u') is
+  // non-empty. Rows are built late, for each new candidate only: most
+  // graphs of a sparse database fail at the root or soon after, and rows
+  // of every vertex would be pure overhead for them. Larger graphs count
+  // instead: cnt[w] counts how many backward neighbors of the current
+  // query vertex have a candidate adjacent to w; incremented only when
+  // cnt[w] == k while processing the k-th backward neighbor, which both
+  // dedups per-neighbor contributions and intersects across neighbors.
+  const bool words = FitsInWord(data);
+  const uint64_t* rows = nullptr;
+  uint64_t rows_built = 0;  // word path: candidates whose row is filled
+  auto record_words = [&](VertexId u) {
+    const auto& set = out->phi.set(u);
+    const uint64_t bits = VertexWord(set);
+    rows = w.BuildAdjacencyRows(data, bits & ~rows_built);
+    rows_built |= bits;
+    uint64_t reach = 0;
+    for (VertexId v : set) reach |= rows[v];
+    w.reach_bits[u] = reach;
+    w.phi_bits[u] = bits;
+  };
   std::vector<uint32_t>& cnt = w.vertex_counts;
-  cnt.assign(data.NumVertices(), 0);
+  if (!words) cnt.assign(data.NumVertices(), 0);
   std::vector<VertexId>& backward = w.query_vertices;
   for (uint32_t i = 0; i < n; ++i) {
     const VertexId u = tree.order[i];
@@ -267,6 +286,11 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
     if (u == root) {
       LdfNlfCandidatesInto(query, data, u, options_.use_nlf, &set);
       if (set.empty()) return false;
+      if (words) {
+        w.phi_bits.resize(n);
+        w.reach_bits.resize(n);
+        record_words(u);
+      }
       continue;
     }
     backward.clear();
@@ -274,21 +298,29 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
       if (order_pos[v] < i) backward.push_back(v);
     }
     SGQ_CHECK(!backward.empty());
-    std::fill(cnt.begin(), cnt.end(), 0);
+    uint64_t reach = ~uint64_t{0};
     uint32_t k = 0;
-    for (VertexId uprime : backward) {
-      for (VertexId vprime : out->phi.set(uprime)) {
-        for (VertexId v : data.Neighbors(vprime)) {
-          if (cnt[v] == k) ++cnt[v];
+    if (words) {
+      for (VertexId uprime : backward) reach &= w.reach_bits[uprime];
+    } else {
+      std::fill(cnt.begin(), cnt.end(), 0);
+      for (VertexId uprime : backward) {
+        for (VertexId vprime : out->phi.set(uprime)) {
+          for (VertexId v : data.Neighbors(vprime)) {
+            if (cnt[v] == k) ++cnt[v];
+          }
         }
+        ++k;
       }
-      ++k;
     }
+    auto reached = [&](VertexId v) {
+      return words ? (reach >> v & 1) != 0 : cnt[v] == k;
+    };
     if (const auto* index = data.candidate_index()) {
       // Indexed path: the degree slice + signature filter shrink the label
-      // bucket before the cnt/NLF checks; candidates come back in ascending
-      // id order, matching the full-scan path bit for bit (the exact NLF
-      // predicate is re-checked below).
+      // bucket before the reach/NLF checks; candidates come back in
+      // ascending id order, matching the full-scan path bit for bit (the
+      // exact NLF predicate is re-checked below).
       std::vector<VertexId>& pre = w.scratch_candidates;
       pre.clear();
       const uint64_t sig =
@@ -297,7 +329,7 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
               : 0;
       index->CollectCandidates(query.label(u), query.degree(u), sig, &pre);
       for (VertexId v : pre) {
-        if (cnt[v] == k &&
+        if (reached(v) &&
             (!options_.use_nlf ||
              SortedMultisetContains(data.NeighborLabels(v),
                                     query.NeighborLabels(u)))) {
@@ -306,23 +338,24 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
       }
     } else {
       for (VertexId v : data.VerticesWithLabel(query.label(u))) {
-        if (cnt[v] == k &&
+        if (reached(v) &&
             PassesDegreeNlf(query, data, u, v, options_.use_nlf)) {
           set.push_back(v);
         }
       }
     }
     if (set.empty()) return false;
+    if (words) record_words(u);
   }
 
   // --- Bottom-up refinement ---------------------------------------------
   if (options_.refine_bottom_up) {
     // Keep v in Φ(u) only if every forward neighbor u' has a candidate
-    // adjacent to v, i.e. N(v) ∩ Φ(u') ≠ ∅ — the adaptive early-exit
-    // intersection kernel, against the already-pruned Φ(u') (forward
-    // vertices are processed earlier in this reverse sweep, so in-place
-    // erasure keeps the membership view exact without the O(n·|V(G)|)
-    // byte rows this sweep used to build).
+    // adjacent to v, i.e. N(v) ∩ Φ(u') ≠ ∅: one AND against Φbits(u') on
+    // the word path, else the adaptive early-exit intersection kernel.
+    // Forward vertices are processed earlier in this reverse sweep, so
+    // in-place erasure (and refreshing Φbits(u) after it) keeps the
+    // membership view exact.
     std::vector<VertexId>& forward = w.query_vertices;
     for (uint32_t i = n; i-- > 0;) {
       const VertexId u = tree.order[i];
@@ -334,7 +367,9 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
       auto& set = out->phi.mutable_set(u);
       auto keep_end = std::remove_if(set.begin(), set.end(), [&](VertexId v) {
         for (VertexId uprime : forward) {
-          if (!IntersectNonEmpty(data.Neighbors(v), out->phi.set(uprime))) {
+          if (words ? (rows[v] & w.phi_bits[uprime]) == 0
+                    : !IntersectNonEmpty(data.Neighbors(v),
+                                         out->phi.set(uprime))) {
             return true;
           }
         }
@@ -342,6 +377,7 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
       });
       set.erase(keep_end, set.end());
       if (set.empty()) return false;
+      if (words) w.phi_bits[u] = VertexWord(set);
     }
   }
   return true;

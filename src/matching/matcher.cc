@@ -2,26 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "matching/workspace.h"
 #include "util/intersect.h"
 #include "util/logging.h"
 
 namespace sgq {
-
-namespace {
-
-std::atomic<ExtensionPath> g_default_extension_path{ExtensionPath::kAdaptive};
-
-}  // namespace
-
-void SetDefaultExtensionPath(ExtensionPath path) {
-  g_default_extension_path.store(path, std::memory_order_relaxed);
-}
-
-ExtensionPath DefaultExtensionPath() {
-  return g_default_extension_path.load(std::memory_order_relaxed);
-}
 
 FilterData* Matcher::Filter(const Graph& query, const Graph& data,
                             MatchWorkspace* ws) const {
@@ -59,25 +46,30 @@ int Matcher::Contains(const Graph& query, const Graph& data,
 
 namespace {
 
-// Φ(u) sizes at or below which the adaptive path keeps the legacy probe
-// scan: the whole candidate list is scanned for less than the cost of one
+// Φ(u) sizes at or below which the list kernel keeps the probe scan: the
+// whole candidate list is scanned for less than the cost of one
 // adjacency-list walk, so setting up intersections cannot pay off.
 constexpr size_t kProbeFallbackSize = 8;
 
-// Iterative-friendly recursive backtracking; query sizes are tiny (tens of
-// vertices) so recursion depth is not a concern. All vectors are borrowed
-// from a MatchWorkspace (or a call-local one) so repeated calls reuse their
+// Recursive backtracking; query sizes are tiny (tens of vertices) so
+// recursion depth is not a concern. All vectors are borrowed from a
+// MatchWorkspace (or a call-local one) so repeated calls reuse their
 // capacity.
 //
-// The extension step computes each search node's local candidate set as an
-// explicit intersection (ExtensionPath::kIntersect / kAdaptive): the mapped
-// backward neighbors' adjacency lists are intersected smallest-first with
-// the adaptive kernels of util/intersect.h, short-circuiting on empty, and
-// the result is filtered through a lazily built, epoch-stamped Φ(u)
-// membership row — unless Φ(u) itself is the smallest operand, in which
-// case it joins the list intersection directly and the row is never built.
-// All candidate production is in ascending vertex order, identical to the
-// legacy probe scan, so the two paths visit the same search tree.
+// kWords selects the extension kernel (see BacktrackOverCandidates):
+//   * word kernel (data graph fits in a word): the frontier of query vertex
+//     u is Φbits(u) & ~used & adj_rows[M(u')] over every mapped backward
+//     neighbor u', walked lowest bit first; `used` is one word.
+//   * list kernel: the mapped backward neighbors' adjacency lists are
+//     intersected smallest-first with the adaptive kernels of
+//     util/intersect.h, short-circuiting on empty, and the result is
+//     filtered through a lazily built, epoch-stamped Φ(u) membership row —
+//     unless Φ(u) itself is the smallest operand, in which case it joins
+//     the list intersection directly and the row is never built. Tiny Φ(u)
+//     is scanned with HasEdge probes instead.
+// Every kernel produces candidates in ascending vertex order, so they all
+// visit the same search tree.
+template <bool kWords>
 struct BacktrackContext {
   const Graph& query;
   const Graph& data;
@@ -89,8 +81,7 @@ struct BacktrackContext {
   DeadlineChecker* checker;
   const EmbeddingCallback& callback;
   MatchWorkspace& w;
-  const uint32_t epoch;  // current used/Φ-membership stamp epoch
-  const ExtensionPath path;
+  const uint32_t epoch;  // list kernel: current used/Φ-membership epoch
   // Depth-0 candidate subrange (a steal task's share of phi.set(order[0]);
   // the whole set for a serial call) and the task's cooperative stop flag.
   const VertexId* roots_begin;
@@ -98,8 +89,71 @@ struct BacktrackContext {
   const std::atomic<bool>* stop;
 
   std::vector<VertexId>& mapping;  // query vertex -> data vertex
+  uint64_t used = 0;               // word kernel: matched data vertices
   EnumerateResult result;
   IntersectCounters counters;
+
+  bool IsUsed(VertexId v) const {
+    if constexpr (kWords) {
+      return (used >> v & 1) != 0;
+    } else {
+      return w.used_stamp[v] == epoch;
+    }
+  }
+
+  // Maps u -> v, recurses, and undoes the mapping. Returns false when the
+  // search should stop entirely.
+  bool Descend(uint32_t depth, VertexId u, VertexId v) {
+    mapping[u] = v;
+    if constexpr (kWords) {
+      used |= uint64_t{1} << v;
+    } else {
+      w.used_stamp[v] = epoch;
+    }
+    const bool keep_going = Recurse(depth + 1);
+    if constexpr (kWords) {
+      used &= ~(uint64_t{1} << v);
+    } else {
+      w.used_stamp[v] = 0;
+    }
+    mapping[u] = kInvalidVertex;
+    return keep_going;
+  }
+
+  bool TryCandidate(uint32_t depth, VertexId u, VertexId v) {
+    return IsUsed(v) || Descend(depth, u, v);
+  }
+
+  // Word kernel: one AND per mapped backward neighbor.
+  bool ExtendByWords(uint32_t depth, VertexId u) {
+    uint64_t frontier = w.phi_bits[u] & ~used;
+    for (VertexId prev_u : backward_neighbors[depth]) {
+      frontier &= w.adj_rows[mapping[prev_u]];
+    }
+    result.local_candidates += std::popcount(frontier);
+    for (; frontier != 0; frontier &= frontier - 1) {
+      const auto v = static_cast<VertexId>(std::countr_zero(frontier));
+      if (!Descend(depth, u, v)) return false;
+    }
+    return true;
+  }
+
+  // List kernel, small Φ(u): scan all of Φ(u), probing HasEdge per backward
+  // neighbor per candidate.
+  bool ExtendByProbe(uint32_t depth, VertexId u) {
+    for (VertexId v : phi.set(u)) {
+      if (IsUsed(v)) continue;
+      bool ok = true;
+      for (VertexId prev_u : backward_neighbors[depth]) {
+        if (!data.HasEdge(mapping[prev_u], v)) {
+          ok = false;
+          break;
+        }
+      }
+      if (ok && !Descend(depth, u, v)) return false;
+    }
+    return true;
+  }
 
   // Lazily builds (once per depth per call) the Φ(order[depth]) membership
   // row: row[v] == epoch iff v ∈ Φ(order[depth]).
@@ -113,43 +167,8 @@ struct BacktrackContext {
     return row;
   }
 
-  // Maps u -> v (injectivity via the used stamp) and recurses. Returns
-  // false when the search should stop entirely.
-  bool TryCandidate(uint32_t depth, VertexId u, VertexId v) {
-    if (w.used_stamp[v] == epoch) return true;
-    mapping[u] = v;
-    w.used_stamp[v] = epoch;
-    const bool keep_going = Recurse(depth + 1);
-    w.used_stamp[v] = 0;
-    mapping[u] = kInvalidVertex;
-    return keep_going;
-  }
-
-  // Legacy extension: scan all of Φ(u), probing HasEdge per backward
-  // neighbor per candidate. Kept for depth-0/no-backward-neighbor nodes and
-  // as the adaptive fallback for tiny Φ(u).
-  bool ExtendByProbe(uint32_t depth, VertexId u) {
-    for (VertexId v : phi.set(u)) {
-      if (w.used_stamp[v] == epoch) continue;
-      bool ok = true;
-      for (VertexId prev_u : backward_neighbors[depth]) {
-        if (!data.HasEdge(mapping[prev_u], v)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      mapping[u] = v;
-      w.used_stamp[v] = epoch;
-      const bool keep_going = Recurse(depth + 1);
-      w.used_stamp[v] = 0;
-      mapping[u] = kInvalidVertex;
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
-  // Intersection-based extension; requires at least one backward neighbor.
+  // List kernel: intersection-based extension; requires at least one
+  // backward neighbor.
   bool ExtendByIntersect(uint32_t depth, VertexId u) {
     const std::vector<VertexId>& phi_u = phi.set(u);
     const std::vector<VertexId>& bn = backward_neighbors[depth];
@@ -229,9 +248,8 @@ struct BacktrackContext {
     return true;
   }
 
-  // Depth-0 extension over the task's root range. Bit-identical to running
-  // ExtendByProbe over the same candidates: with no backward neighbors the
-  // probe scan degenerates to the used-stamp check TryCandidate performs.
+  // Depth-0 extension over the task's root range: with no backward
+  // neighbors every kernel degenerates to the injectivity check.
   bool ExtendRoots() {
     for (const VertexId* p = roots_begin; p != roots_end; ++p) {
       if (!TryCandidate(0, order[0], *p)) return false;
@@ -263,14 +281,49 @@ struct BacktrackContext {
     }
     if (depth == 0) return ExtendRoots();
     const VertexId u = order[depth];
-    if (backward_neighbors[depth].empty() || path == ExtensionPath::kProbe ||
-        (path == ExtensionPath::kAdaptive &&
-         phi.set(u).size() <= kProbeFallbackSize)) {
-      return ExtendByProbe(depth, u);
+    if constexpr (kWords) {
+      return ExtendByWords(depth, u);
+    } else {
+      if (backward_neighbors[depth].empty() ||
+          phi.set(u).size() <= kProbeFallbackSize) {
+        return ExtendByProbe(depth, u);
+      }
+      return ExtendByIntersect(depth, u);
     }
-    return ExtendByIntersect(depth, u);
   }
 };
+
+template <bool kWords>
+EnumerateResult RunBacktrack(const Graph& query, const Graph& data,
+                             const CandidateSets& phi,
+                             const std::vector<VertexId>& order,
+                             uint64_t limit, DeadlineChecker* checker,
+                             const EmbeddingCallback& callback,
+                             MatchWorkspace& w, uint32_t epoch,
+                             const BacktrackTask& task) {
+  const std::vector<VertexId>& roots = phi.set(order[0]);
+  const uint32_t root_begin =
+      std::min<uint32_t>(task.root_begin,
+                         static_cast<uint32_t>(roots.size()));
+  const uint32_t root_end = std::max(
+      root_begin, std::min<uint32_t>(task.root_end,
+                                     static_cast<uint32_t>(roots.size())));
+
+  BacktrackContext<kWords> ctx{query,    data,    phi,      order,
+                               w.backward_neighbors,
+                               limit,    checker, callback, w,
+                               epoch,
+                               roots.data() + root_begin,
+                               roots.data() + root_end,
+                               task.stop,
+                               w.mapping, /*used=*/0, {}, {}};
+  ctx.Recurse(0);
+  ctx.result.intersect_calls = ctx.counters.calls;
+  ctx.result.intersect_merge = ctx.counters.merge_calls;
+  ctx.result.intersect_gallop = ctx.counters.gallop_calls;
+  ctx.result.intersect_simd = ctx.counters.simd_calls;
+  return ctx.result;
+}
 
 // Resizes the per-depth neighbor lists without freeing inner capacity.
 void ResetBackwardNeighbors(std::vector<std::vector<VertexId>>* lists,
@@ -297,31 +350,7 @@ EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
                                         uint64_t limit,
                                         DeadlineChecker* checker,
                                         const EmbeddingCallback& callback,
-                                        MatchWorkspace* ws) {
-  return BacktrackOverCandidates(query, data, phi, order, limit, checker,
-                                 callback, ws, DefaultExtensionPath());
-}
-
-EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
-                                        const CandidateSets& phi,
-                                        const std::vector<VertexId>& order,
-                                        uint64_t limit,
-                                        DeadlineChecker* checker,
-                                        const EmbeddingCallback& callback,
                                         MatchWorkspace* ws,
-                                        ExtensionPath path) {
-  return BacktrackOverCandidates(query, data, phi, order, limit, checker,
-                                 callback, ws, path, BacktrackTask{});
-}
-
-EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
-                                        const CandidateSets& phi,
-                                        const std::vector<VertexId>& order,
-                                        uint64_t limit,
-                                        DeadlineChecker* checker,
-                                        const EmbeddingCallback& callback,
-                                        MatchWorkspace* ws,
-                                        ExtensionPath path,
                                         const BacktrackTask& task) {
   SGQ_CHECK_EQ(order.size(), query.NumVertices());
   if (limit == 0) return {};
@@ -338,30 +367,23 @@ EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
     w.placed[u] = 1;
   }
   w.mapping.assign(query.NumVertices(), kInvalidVertex);
+
+  if (FitsInWord(data)) {
+    // Only candidates are ever mapped, so only their rows are read.
+    w.phi_bits.resize(query.NumVertices());
+    uint64_t candidates = 0;
+    for (VertexId u = 0; u < query.NumVertices(); ++u) {
+      w.phi_bits[u] = VertexWord(phi.set(u));
+      candidates |= w.phi_bits[u];
+    }
+    w.BuildAdjacencyRows(data, candidates);
+    return RunBacktrack<true>(query, data, phi, order, limit, checker,
+                              callback, w, /*epoch=*/0, task);
+  }
   EnsureDepthScratch(&w, order.size());
   const uint32_t epoch = w.BeginUsedEpoch(data.NumVertices());
-
-  const std::vector<VertexId>& roots = phi.set(order[0]);
-  const uint32_t root_begin =
-      std::min<uint32_t>(task.root_begin,
-                         static_cast<uint32_t>(roots.size()));
-  const uint32_t root_end = std::max(
-      root_begin, std::min<uint32_t>(task.root_end,
-                                     static_cast<uint32_t>(roots.size())));
-
-  BacktrackContext ctx{query,    data, phi,   order, w.backward_neighbors,
-                       limit,    checker,     callback,
-                       w,        epoch,       path,
-                       roots.data() + root_begin,
-                       roots.data() + root_end,
-                       task.stop,
-                       w.mapping, {},         {}};
-  ctx.Recurse(0);
-  ctx.result.intersect_calls = ctx.counters.calls;
-  ctx.result.intersect_merge = ctx.counters.merge_calls;
-  ctx.result.intersect_gallop = ctx.counters.gallop_calls;
-  ctx.result.intersect_simd = ctx.counters.simd_calls;
-  return ctx.result;
+  return RunBacktrack<false>(query, data, phi, order, limit, checker,
+                             callback, w, epoch, task);
 }
 
 namespace {

@@ -50,8 +50,10 @@ struct FilterData {
 // the adaptive set-intersection kernels of the local-candidate extension
 // step (util/intersect.h): calls = adaptive dispatches, and the
 // merge/gallop/simd split records which kernel each dispatch resolved to.
-// local_candidates sums the local candidate-set sizes the intersections
-// produced (the per-search-node extension frontier).
+// The word kernel of data graphs with <= 64 vertices intersects no lists,
+// so they stay 0 there. local_candidates sums the per-search-node extension
+// frontiers: the intersections' outputs on the list kernel, the unused
+// candidate bits on the word kernel.
 struct EnumerateResult {
   uint64_t embeddings = 0;       // found (up to the limit)
   uint64_t recursion_calls = 0;  // search-tree nodes visited
@@ -121,65 +123,14 @@ class Matcher {
                MatchWorkspace* ws) const;
 };
 
-// How the backtracking computes each search node's extension frontier.
-//   kProbe     — the legacy path: scan all of Φ(u), probing data.HasEdge for
-//                every backward neighbor per candidate.
-//   kIntersect — compute the local candidate set explicitly: intersect the
-//                mapped backward neighbors' adjacency lists (smallest first,
-//                short-circuiting on empty) and filter through a Φ(u)
-//                membership row; Φ(u) joins the list intersection instead
-//                whenever it is the smallest operand.
-//   kAdaptive  — kIntersect, but falling back to kProbe per node when the
-//                probe scan is predicted cheaper (tiny Φ(u)). The default.
-// All three enumerate candidates in the same ascending order, so embedding
-// counts, embedding order, and recursion_calls are identical across paths.
-enum class ExtensionPath { kAdaptive, kProbe, kIntersect };
-
-// Process-wide default used when BacktrackOverCandidates is called without
-// an explicit path — a knob for benchmarks and determinism tests comparing
-// the legacy and intersection paths through unmodified engines.
-void SetDefaultExtensionPath(ExtensionPath path);
-ExtensionPath DefaultExtensionPath();
-
-// Generic connectivity-aware backtracking over candidate sets: at depth i
-// the query vertex order[i] is matched against its candidates, checking
-// injectivity and all edges to already-matched query vertices. This is the
-// enumeration procedure of GraphQL (and of CFQL); CFL uses its own CPI-aware
-// variant.
-//
-// `order` must start at an arbitrary vertex and keep the prefix connected
-// (every later vertex has an earlier neighbor).
-//
-// With a workspace the mapping/visited/backward-neighbor scratch is drawn
-// from `ws` (everything except ws->order, which may hold `order` itself);
-// without one it is allocated per call as before.
-EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
-                                        const CandidateSets& phi,
-                                        const std::vector<VertexId>& order,
-                                        uint64_t limit,
-                                        DeadlineChecker* checker,
-                                        const EmbeddingCallback& callback,
-                                        MatchWorkspace* ws = nullptr);
-
-// Explicit-path overload; the default-argument form above uses
-// DefaultExtensionPath().
-EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
-                                        const CandidateSets& phi,
-                                        const std::vector<VertexId>& order,
-                                        uint64_t limit,
-                                        DeadlineChecker* checker,
-                                        const EmbeddingCallback& callback,
-                                        MatchWorkspace* ws,
-                                        ExtensionPath path);
-
 // One steal-able unit of the intra-query parallel search: the subtree(s) of
 // the backtracking rooted at a contiguous range of first-level candidates
 // (indices into phi.set(order[0])), plus a cooperative stop flag. The stop
 // flag is polled at kStopCheckInterval-recursion-call granularity; when it
 // fires the search unwinds immediately with result.cancelled set (partial
 // counters, embeddings found so far kept). Used by the work-stealing
-// scheduler in matching/parallel_backtrack.h; the serial entry points above
-// are equivalent to {0, UINT32_MAX, nullptr}.
+// scheduler in matching/parallel_backtrack.h; the default task is the whole
+// serial search.
 struct BacktrackTask {
   uint32_t root_begin = 0;
   uint32_t root_end = UINT32_MAX;  // clamped to |phi.set(order[0])|
@@ -191,18 +142,35 @@ struct BacktrackTask {
   static constexpr uint64_t kStopCheckInterval = 256;
 };
 
-// Task-granular overload: the full signature used by the intra-query
-// parallel scheduler. Enumerates only the search subtrees whose depth-0
-// candidate lies in [task.root_begin, task.root_end).
+// Generic connectivity-aware backtracking over candidate sets: at depth i
+// the query vertex order[i] is matched against its candidates, checking
+// injectivity and all edges to already-matched query vertices. This is the
+// enumeration procedure of GraphQL (and of CFQL); CFL uses its own CPI-aware
+// variant.
+//
+// `order` must start at an arbitrary vertex and keep the prefix connected
+// (every later vertex has an earlier neighbor).
+//
+// The extension kernel follows |V(G)|: a data graph that fits in a machine
+// word (FitsInWord, workspace.h) is searched on 64-bit adjacency rows, one
+// AND per mapped backward neighbor; a larger one on adaptive sorted-list
+// intersections (util/intersect.h) with a probe scan for tiny Φ(u). Both
+// produce each node's candidates in ascending order, so embeddings, their
+// order and recursion_calls do not depend on the kernel.
+//
+// With a workspace the mapping/visited/backward-neighbor scratch is drawn
+// from `ws` (everything except ws->order, which may hold `order` itself);
+// without one it is allocated per call. `task` restricts the search to the
+// subtrees whose depth-0 candidate lies in [task.root_begin,
+// task.root_end) (the intra-query parallel scheduler's unit of work).
 EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
                                         const CandidateSets& phi,
                                         const std::vector<VertexId>& order,
                                         uint64_t limit,
                                         DeadlineChecker* checker,
                                         const EmbeddingCallback& callback,
-                                        MatchWorkspace* ws,
-                                        ExtensionPath path,
-                                        const BacktrackTask& task);
+                                        MatchWorkspace* ws = nullptr,
+                                        const BacktrackTask& task = {});
 
 // The join-based ordering of GraphQL: start from the query vertex with the
 // fewest candidates; repeatedly append the neighbor of the selected set with

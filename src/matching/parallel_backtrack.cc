@@ -32,7 +32,6 @@ struct StealScheduler::GraphJob {
   const std::vector<VertexId>* order = nullptr;
   uint64_t limit = 0;
   Deadline deadline;
-  ExtensionPath path = ExtensionPath::kAdaptive;
   bool buffer_embeddings = false;
 
   // Set when the completed seed prefix covers `limit`, or a task hit the
@@ -140,7 +139,7 @@ void StealScheduler::ExecuteTask(TaskDesc* task, MatchWorkspace* ws,
     }
     seed.er = BacktrackOverCandidates(*job->query, *job->data, *job->phi,
                                       *job->order, job->limit, &checker, cb,
-                                      ws, job->path, bt);
+                                      ws, bt);
   }
   if (skipped || seed.er.cancelled || seed.er.aborted) ++acc->tasks_aborted;
   {
@@ -201,7 +200,7 @@ EnumerateResult StealScheduler::Enumerate(
     uint32_t id, const Graph& query, const Graph& data,
     const CandidateSets& phi, const std::vector<VertexId>& order,
     uint64_t limit, Deadline deadline, const EmbeddingCallback& callback,
-    MatchWorkspace* ws, ExtensionPath path) {
+    MatchWorkspace* ws) {
   SGQ_CHECK_LT(id, executors_.size());
   if (limit == 0) return {};
   // Already-expired deadlines are the OOT outcome with zero work — and a
@@ -219,7 +218,7 @@ EnumerateResult StealScheduler::Enumerate(
   if (num_tasks <= 1) {
     DeadlineChecker checker(deadline);
     return BacktrackOverCandidates(query, data, phi, order, limit, &checker,
-                                   callback, ws, path);
+                                   callback, ws);
   }
 
   ExecutorState& self = *executors_[id];
@@ -230,7 +229,6 @@ EnumerateResult StealScheduler::Enumerate(
   job.order = &order;
   job.limit = limit;
   job.deadline = deadline;
-  job.path = path;
   job.buffer_embeddings = static_cast<bool>(callback);
   job.stop.store(false, std::memory_order_relaxed);
   job.prefix_done = 0;

@@ -20,8 +20,8 @@
 //     them in seed order once the job completes, truncating at `limit`.
 //     Because a seed's subtree is enumerated exactly as the serial search
 //     would enumerate it, the merged embedding sequence is bit-identical to
-//     the serial BacktrackOverCandidates call for every thread count, chunk
-//     size, and extension path.
+//     the serial BacktrackOverCandidates call for every thread count and
+//     chunk size.
 //   * Cancellation: a per-job atomic stop flag is set when the completed
 //     seed *prefix* already covers `limit` (or when a task hits the
 //     deadline). Queued tasks observe it at pop time and are dropped;
@@ -97,7 +97,7 @@ class StealScheduler {
   // candidates split into steal-able tasks. Blocks — executing its own and
   // stolen tasks — until every task of this job retires, then merges the
   // per-seed results in seed order. Bit-identical to the serial
-  //   BacktrackOverCandidates(query, data, phi, order, limit, ..., path)
+  //   BacktrackOverCandidates(query, data, phi, order, limit, ...)
   // call. `ws` is the owner's workspace; thieves use their own. `callback`
   // (when set) is replayed by the owner in the deterministic merged order.
   EnumerateResult Enumerate(uint32_t id, const Graph& query,
@@ -105,7 +105,7 @@ class StealScheduler {
                             const std::vector<VertexId>& order,
                             uint64_t limit, Deadline deadline,
                             const EmbeddingCallback& callback,
-                            MatchWorkspace* ws, ExtensionPath path);
+                            MatchWorkspace* ws);
 
   // True when executor `id` may steal tasks (the intra_threads cap).
   bool CanHelp(uint32_t id) const;

@@ -1,6 +1,21 @@
 #include "matching/workspace.h"
 
+#include <bit>
+
+#include "util/logging.h"
+
 namespace sgq {
+
+const uint64_t* MatchWorkspace::BuildAdjacencyRows(const Graph& data,
+                                                   uint64_t vertices) {
+  SGQ_CHECK(FitsInWord(data));
+  if (adj_rows.size() < data.NumVertices()) adj_rows.resize(data.NumVertices());
+  for (; vertices != 0; vertices &= vertices - 1) {
+    const auto v = static_cast<VertexId>(std::countr_zero(vertices));
+    adj_rows[v] = VertexWord(data.Neighbors(v));
+  }
+  return adj_rows.data();
+}
 
 size_t MatchWorkspace::MemoryBytes() const {
   size_t bytes = 0;
@@ -21,6 +36,9 @@ size_t MatchWorkspace::MemoryBytes() const {
   bytes += local_b.capacity() * sizeof(std::vector<VertexId>);
   for (const auto& v : local_b) bytes += v.capacity() * sizeof(VertexId);
   bytes += adj_by_size.capacity() * sizeof(std::pair<uint32_t, VertexId>);
+  bytes += (adj_rows.capacity() + phi_bits.capacity() +
+            reach_bits.capacity()) *
+           sizeof(uint64_t);
   for (const auto& matrix : ullmann_pool) {
     bytes += matrix.capacity() * sizeof(std::vector<VertexId>);
     for (const auto& row : matrix) bytes += row.capacity() * sizeof(VertexId);

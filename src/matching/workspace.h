@@ -25,15 +25,36 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <typeinfo>
 #include <utility>
 #include <vector>
 
+#include "graph/graph.h"
 #include "graph/types.h"
 #include "matching/matcher.h"
 
 namespace sgq {
+
+// Data graphs with at most this many vertices are matched on one 64-bit
+// adjacency row per vertex (MatchWorkspace::BuildAdjacencyRows) instead of
+// sorted lists: the machine word width, not a tuning knob.
+inline constexpr uint32_t kWordGraphMaxVertices =
+    std::numeric_limits<uint64_t>::digits;
+
+inline bool FitsInWord(const Graph& data) {
+  return data.NumVertices() <= kWordGraphMaxVertices;
+}
+
+// A set of data vertices, all < kWordGraphMaxVertices, as one word: bit v
+// is set iff v is in `vertices`.
+inline uint64_t VertexWord(std::span<const VertexId> vertices) {
+  uint64_t word = 0;
+  for (VertexId v : vertices) word |= uint64_t{1} << v;
+  return word;
+}
 
 class MatchWorkspace {
  public:
@@ -112,6 +133,22 @@ class MatchWorkspace {
   // adjacency lists smallest-first; consumed before recursing, so one
   // shared buffer serves every depth.
   std::vector<std::pair<uint32_t, VertexId>> adj_by_size;
+
+  // --- word rows (data graphs of <= kWordGraphMaxVertices vertices) ------
+  // adj_rows[v]: bit x set iff (v, x) ∈ E(G). Filled per call by
+  // BuildAdjacencyRows, shared by BacktrackOverCandidates and CFL's filter.
+  std::vector<uint64_t> adj_rows;
+  // phi_bits[u]: Φ(u) as a word (VertexWord), per query vertex.
+  std::vector<uint64_t> phi_bits;
+  // CFL's top-down pass: reach_bits[u] is the OR of adj_rows over Φ(u),
+  // the data vertices adjacent to some candidate of u.
+  std::vector<uint64_t> reach_bits;
+
+  // Fills adj_rows[v] from `data` (FitsInWord(data) must hold) for every
+  // vertex v in `vertices` (a VertexWord) and returns the rows. Rows of
+  // other vertices keep stale values: both readers only ever read the rows
+  // of candidates, so they fill exactly those. O(Σ deg(v)).
+  const uint64_t* BuildAdjacencyRows(const Graph& data, uint64_t vertices);
 
   // Ullmann's per-depth candidate-matrix pool: Recurse(depth) copies the
   // current matrix into ullmann_pool[depth] (reusing each row's capacity)

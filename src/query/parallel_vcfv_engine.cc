@@ -293,13 +293,11 @@ QueryResult ParallelVcfvEngine::QueryStreaming(const Graph& query,
               er = scheduler_->Enumerate(slot_id, query, data,
                                          filter_data->phi, order,
                                          /*limit=*/1, deadline, nullptr,
-                                         &slot.workspace,
-                                         DefaultExtensionPath());
+                                         &slot.workspace);
             } else {
               er = BacktrackOverCandidates(query, data, filter_data->phi,
                                            order, /*limit=*/1, &checker,
-                                           nullptr, &slot.workspace,
-                                           DefaultExtensionPath());
+                                           nullptr, &slot.workspace);
             }
           } else {
             er = slot.matcher->Enumerate(query, data, *filter_data,
@@ -450,13 +448,11 @@ QueryResult ParallelVcfvEngine::QueryIntra(const Graph& query,
             er = scheduler_->Enumerate(slot_id, query, data,
                                        filter_data->phi, order,
                                        /*limit=*/1, deadline, nullptr,
-                                       &slot.workspace,
-                                       DefaultExtensionPath());
+                                       &slot.workspace);
           } else {
             er = BacktrackOverCandidates(query, data, filter_data->phi,
                                          order, /*limit=*/1, &checker,
-                                         nullptr, &slot.workspace,
-                                         DefaultExtensionPath());
+                                         nullptr, &slot.workspace);
           }
           acc.verify_nanos += timer.ElapsedNanos();
           ++acc.si_tests;

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "gen/graph_gen.h"
+#include "gen/query_gen.h"
 #include "graph/graph_utils.h"
+#include "index/vertex_candidate_index.h"
 #include "matching/brute_force.h"
 #include "matching/cfql.h"
 #include "matching/workspace.h"
@@ -194,6 +196,65 @@ TEST(CflCpiTest, RecycledCpiEqualsFreshAfterLargerQuery) {
               BruteForceEnumerate(q, g, UINT64_MAX));
   }
   EXPECT_GT(passed, 10);
+}
+
+// CFL's filter on a data graph of <= 64 vertices works on adjacency words;
+// the same graph padded past 64 vertices takes the list path. Both must
+// build the same Φ, tree, CPI and order, with and without a vertex
+// candidate index attached (the SGQ_CANDIDATE_INDEX=on mode, where the
+// top-down pass draws its candidates from the index).
+TEST(CflCpiTest, WordFilterEqualsPaddedListFilter) {
+  Rng rng(4242);
+  const std::vector<Label> labels = {0, 1, 2};
+  CflMatcher matcher;
+  CfqlMatcher cfql;
+  MatchWorkspace ws;
+  int passed = 0;
+  for (int trial = 0; trial < 45; ++trial) {
+    const uint32_t num_vertices = trial % 3 == 0 ? 64 : 20 + trial;
+    GraphDatabase db;
+    db.Add(GenerateRandomGraph(num_vertices, 3.0 + trial % 4, labels, &rng));
+    Graph q;
+    if (trial % 4 == 3) {
+      // A random query: mostly filtered out, at the root or later.
+      q = GenerateRandomGraph(5, 2.2, labels, &rng);
+      if (!IsConnected(q)) continue;
+    } else if (!GenerateQuery(db,
+                              trial % 2 == 0 ? QueryKind::kDense
+                                             : QueryKind::kSparse,
+                              4 + trial % 5, &rng, &q)) {
+      continue;
+    }
+    for (const bool indexed : {false, true}) {
+      Graph words = db.graph(0);
+      Graph lists = ::sgq::testing::PadWithIsolatedVertices(words, 65);
+      ASSERT_TRUE(FitsInWord(words));
+      ASSERT_FALSE(FitsInWord(lists));
+      if (indexed) {
+        words.SetCandidateIndex(VertexCandidateIndex::Build(words));
+        lists.SetCandidateIndex(VertexCandidateIndex::Build(lists));
+      }
+      SCOPED_TRACE(::testing::Message() << "trial " << trial
+                                        << " indexed=" << indexed);
+      const auto expected = matcher.Filter(q, lists);
+      const CpiData& want = AsCpi(*expected);
+      const CpiData& got = AsCpi(*matcher.Filter(q, words, &ws));
+      ASSERT_EQ(got.Passed(), want.Passed());
+      for (VertexId u = 0; u < q.NumVertices(); ++u) {
+        EXPECT_EQ(got.phi.set(u), want.phi.set(u));
+      }
+      const auto phi_only = cfql.Filter(q, words);
+      for (VertexId u = 0; u < q.NumVertices(); ++u) {
+        EXPECT_EQ(phi_only->phi.set(u), want.phi.set(u));
+      }
+      if (!want.Passed()) continue;
+      ++passed;
+      EXPECT_EQ(got.tree.order, want.tree.order);
+      EXPECT_EQ(got.children, want.children);
+      EXPECT_EQ(got.matching_order, want.matching_order);
+    }
+  }
+  EXPECT_GT(passed, 40);
 }
 
 TEST(CflCpiTest, SingleVertexQueryWorks) {

@@ -6,8 +6,16 @@
 // clock every 1024 ticks).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+#include <thread>
+#include <vector>
+
 #include "gen/graph_gen.h"
+#include "graph/graph_utils.h"
 #include "matching/cfql.h"
+#include "matching/parallel_backtrack.h"
+#include "matching/workspace.h"
 #include "query/engine_factory.h"
 #include "query/match_engine.h"
 #include "tests/test_util.h"
@@ -121,6 +129,55 @@ TEST(DeadlineTest, DeadlineExpiringInsideAScreenedStretchTimesOut) {
   EXPECT_FALSE(match.Match(query).stats.timed_out);
   EXPECT_TRUE(match.Match(query, MatchOptions{}, Deadline::AfterSeconds(2e-6))
                   .stats.timed_out);
+}
+
+// A deadline that passes in the middle of a word-kernel enumeration (a data
+// graph of <= 64 vertices) must end it with `aborted`, serially and through
+// the stealing scheduler. K64 holds ~10^21 embeddings of a 12-vertex path,
+// so the unlimited search is still running when 20 ms are up.
+TEST(DeadlineTest, DeadlineExpiringInsideWordKernelEnumerationAborts) {
+  GraphBuilder builder;
+  for (int v = 0; v < 64; ++v) builder.AddVertex(0);
+  for (VertexId a = 0; a < 64; ++a) {
+    for (VertexId b = a + 1; b < 64; ++b) builder.AddEdge(a, b);
+  }
+  const Graph data = builder.Build();
+  ASSERT_TRUE(FitsInWord(data));
+  GraphBuilder path;
+  for (int v = 0; v < 12; ++v) path.AddVertex(0);
+  for (VertexId v = 1; v < 12; ++v) path.AddEdge(v - 1, v);
+  const Graph query = path.Build();
+  CandidateSets phi(query.NumVertices());
+  for (VertexId u = 0; u < query.NumVertices(); ++u) {
+    const auto all = data.VerticesWithLabel(0);
+    phi.mutable_set(u).assign(all.begin(), all.end());
+  }
+  const std::vector<VertexId> order = BuildBfsTree(query, 0).order;
+
+  DeadlineChecker checker(Deadline::AfterSeconds(0.02));
+  MatchWorkspace ws;
+  const EnumerateResult serial = BacktrackOverCandidates(
+      query, data, phi, order, std::numeric_limits<uint64_t>::max(), &checker,
+      nullptr, &ws);
+  EXPECT_TRUE(serial.aborted);
+  EXPECT_GT(serial.embeddings, 0u);
+
+  StealConfig config;
+  config.chunk = 4;
+  StealScheduler sched(2, config);
+  std::atomic<bool> done{false};
+  std::thread helper([&sched, &done] {
+    MatchWorkspace helper_ws;
+    while (!done.load(std::memory_order_acquire)) {
+      if (!sched.TryHelp(1, &helper_ws)) std::this_thread::yield();
+    }
+  });
+  const EnumerateResult stolen = sched.Enumerate(
+      0, query, data, phi, order, std::numeric_limits<uint64_t>::max(),
+      Deadline::AfterSeconds(0.02), nullptr, &ws);
+  done.store(true, std::memory_order_release);
+  helper.join();
+  EXPECT_TRUE(stolen.aborted);
 }
 
 TEST(DeadlineTest, ExpiredPrepareStillFailsForIndexEngines) {

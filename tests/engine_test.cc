@@ -136,22 +136,19 @@ TEST(EngineAgreementTest, AllEnginesAgreeOnRandomizedDatabases) {
   }
 }
 
-// RAII guard: restores the process-wide extension path and SIMD flag so a
-// failing assertion cannot leak a non-default configuration into later tests.
-struct ExtensionPathGuard {
-  const ExtensionPath saved_path = DefaultExtensionPath();
+// RAII guard: restores the process-wide SIMD flag so a failing assertion
+// cannot leak a non-default configuration into later tests.
+struct SimdGuard {
   const bool saved_simd = IntersectSimdEnabled();
-  ~ExtensionPathGuard() {
-    SetDefaultExtensionPath(saved_path);
-    SetIntersectSimdEnabled(saved_simd);
-  }
+  ~SimdGuard() { SetIntersectSimdEnabled(saved_simd); }
 };
 
-TEST(ExtensionPathDeterminismTest, EnginesAgreeAcrossPathsAndSimd) {
-  // The probe, intersection, and adaptive extension paths (with and without
-  // the SIMD kernels) must be observationally identical through unmodified
+TEST(KernelDeterminismTest, EnginesAgreeAcrossKernelsAndSimd) {
+  // The word kernel (graphs of <= 64 vertices) and the list kernel (the
+  // same graphs padded with 65 isolated vertices, with and without the SIMD
+  // intersections) must be observationally identical through unmodified
   // engines: same answers, same candidate counts, same SI-test counts.
-  ExtensionPathGuard guard;
+  SimdGuard guard;
   SyntheticParams params;
   params.num_graphs = 40;
   params.vertices_per_graph = 30;
@@ -159,6 +156,8 @@ TEST(ExtensionPathDeterminismTest, EnginesAgreeAcrossPathsAndSimd) {
   params.num_labels = 4;
   params.seed = 77;
   const GraphDatabase db = GenerateSyntheticDatabase(params);
+  const GraphDatabase padded = ::sgq::testing::PadPastWordLimit(db);
+  ASSERT_FALSE(FitsInWord(padded.graph(0)));
   std::vector<Graph> queries;
   Rng rng(55);
   while (queries.size() < 5) {
@@ -170,34 +169,23 @@ TEST(ExtensionPathDeterminismTest, EnginesAgreeAcrossPathsAndSimd) {
     }
   }
 
-  struct Config {
-    ExtensionPath path;
-    bool simd;
-    const char* name;
-  };
-  const Config configs[] = {
-      {ExtensionPath::kProbe, true, "probe"},
-      {ExtensionPath::kIntersect, true, "intersect"},
-      {ExtensionPath::kAdaptive, true, "adaptive"},
-      {ExtensionPath::kIntersect, false, "intersect-scalar"},
-      {ExtensionPath::kAdaptive, false, "adaptive-scalar"},
-  };
   for (const std::string& engine_name :
        {std::string("GraphQL"), std::string("CFQL")}) {
+    auto words = MakeEngine(engine_name);
+    ASSERT_TRUE(words->Prepare(db, Deadline::Infinite()));
     std::vector<QueryResult> expected;
-    for (const Config& config : configs) {
-      SetDefaultExtensionPath(config.path);
-      SetIntersectSimdEnabled(config.simd);
-      auto engine = MakeEngine(engine_name);
-      ASSERT_TRUE(engine->Prepare(db, Deadline::Infinite()));
+    for (const Graph& q : queries) {
+      expected.push_back(words->Query(q));
+      EXPECT_EQ(expected.back().stats.intersect_calls, 0u) << engine_name;
+    }
+    for (const bool simd : {true, false}) {
+      SetIntersectSimdEnabled(simd);
+      auto lists = MakeEngine(engine_name);
+      ASSERT_TRUE(lists->Prepare(padded, Deadline::Infinite()));
       for (size_t i = 0; i < queries.size(); ++i) {
-        const QueryResult r = engine->Query(queries[i]);
-        if (expected.size() <= i) {
-          expected.push_back(r);
-          continue;
-        }
-        SCOPED_TRACE(::testing::Message() << engine_name << " config="
-                                          << config.name << " query=" << i);
+        const QueryResult r = lists->Query(queries[i]);
+        SCOPED_TRACE(::testing::Message() << engine_name << " simd=" << simd
+                                          << " query=" << i);
         EXPECT_EQ(r.answers, expected[i].answers);
         EXPECT_EQ(r.stats.num_candidates, expected[i].stats.num_candidates);
         EXPECT_EQ(r.stats.si_tests, expected[i].stats.si_tests);
@@ -206,17 +194,19 @@ TEST(ExtensionPathDeterminismTest, EnginesAgreeAcrossPathsAndSimd) {
   }
 }
 
-TEST(ExtensionPathDeterminismTest, EmbeddingsAndFirstMappingBitIdentical) {
-  // Stronger than answer-set equality: full embedding counts, the first
-  // embedding's mapping, and the visited search-tree size must match across
-  // every path/SIMD combination.
-  ExtensionPathGuard guard;
+TEST(KernelDeterminismTest, EmbeddingsAndFirstMappingBitIdentical) {
+  // Stronger than answer-set equality: full embedding sequences, the first
+  // embedding's mapping, and the visited search-tree size must match
+  // between the word kernel and the list kernel (SIMD on and off).
+  SimdGuard guard;
   Rng rng(121);
   std::vector<Label> labels = {0, 1, 2};
+  int compared = 0;
   for (int trial = 0; trial < 10; ++trial) {
     const Graph q = GenerateRandomGraph(5, 2.0, labels, &rng);
     if (!IsConnected(q)) continue;
     const Graph g = GenerateRandomGraph(60, 5.0, labels, &rng);
+    const Graph padded = ::sgq::testing::PadWithIsolatedVertices(g, 65);
     CandidateSets phi(q.NumVertices());
     for (VertexId u = 0; u < q.NumVertices(); ++u) {
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
@@ -231,44 +221,40 @@ TEST(ExtensionPathDeterminismTest, EmbeddingsAndFirstMappingBitIdentical) {
       std::vector<VertexId> first_mapping;
       std::vector<std::vector<VertexId>> all;
     };
-    auto run_path = [&](ExtensionPath path, bool simd) {
+    auto run_on = [&](const Graph& data, bool simd) {
       SetIntersectSimdEnabled(simd);
       Run run;
       MatchWorkspace ws;
       run.result = BacktrackOverCandidates(
-          q, g, phi, order, UINT64_MAX, nullptr,
+          q, data, phi, order, UINT64_MAX, nullptr,
           [&](const std::vector<VertexId>& m) {
             if (run.all.empty()) run.first_mapping = m;
             run.all.push_back(m);
             return true;
           },
-          &ws, path);
+          &ws);
       return run;
     };
 
-    const Run probe = run_path(ExtensionPath::kProbe, true);
-    for (const auto& [path, simd] :
-         {std::pair{ExtensionPath::kIntersect, true},
-          std::pair{ExtensionPath::kIntersect, false},
-          std::pair{ExtensionPath::kAdaptive, true},
-          std::pair{ExtensionPath::kAdaptive, false}}) {
-      const Run other = run_path(path, simd);
-      SCOPED_TRACE(::testing::Message()
-                   << "trial=" << trial << " path=" << static_cast<int>(path)
-                   << " simd=" << simd);
-      EXPECT_EQ(other.result.embeddings, probe.result.embeddings);
-      EXPECT_EQ(other.result.recursion_calls, probe.result.recursion_calls);
-      EXPECT_EQ(other.first_mapping, probe.first_mapping);
-      EXPECT_EQ(other.all, probe.all);  // same embeddings in the same order
+    const Run words = run_on(g, true);
+    EXPECT_EQ(words.result.intersect_calls, 0u);
+    for (const bool simd : {true, false}) {
+      const Run lists = run_on(padded, simd);
+      SCOPED_TRACE(::testing::Message() << "trial=" << trial
+                                        << " simd=" << simd);
+      EXPECT_EQ(lists.result.embeddings, words.result.embeddings);
+      EXPECT_EQ(lists.result.recursion_calls, words.result.recursion_calls);
+      EXPECT_EQ(lists.first_mapping, words.first_mapping);
+      EXPECT_EQ(lists.all, words.all);  // same embeddings in the same order
+      // Dense-enough queries have backward neighbors beyond the tree edge,
+      // so the list side must have exercised the intersection kernels.
+      if (q.NumEdges() >= q.NumVertices()) {
+        EXPECT_GT(lists.result.intersect_calls, 0u);
+      }
     }
-    // The intersection path must actually exercise the kernels somewhere in
-    // this sweep (dense-enough queries have backward neighbors beyond the
-    // tree edge), otherwise the comparison above is vacuous.
-    const Run isect = run_path(ExtensionPath::kIntersect, true);
-    if (q.NumEdges() >= q.NumVertices()) {
-      EXPECT_GT(isect.result.intersect_calls, 0u);
-    }
+    ++compared;
   }
+  EXPECT_GT(compared, 0);
 }
 
 TEST(EngineTimeoutTest, QueryTimesOutAndReportsIt) {

@@ -16,6 +16,7 @@
 #include "matching/graphql.h"
 #include "matching/spath.h"
 #include "matching/turboiso.h"
+#include "matching/workspace.h"
 #include "tests/test_util.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -26,6 +27,29 @@ namespace {
 using ::sgq::testing::MakeCycle;
 using ::sgq::testing::MakeGraph;
 using ::sgq::testing::MakePath;
+using ::sgq::testing::PadWithIsolatedVertices;
+using ::sgq::testing::Sorted;
+
+// A one-label circulant graph over n vertices: the edges (v, v+s mod n) for
+// each stride s. Strides {1, 2} put every vertex, the last ones included,
+// on triangles and 4-cycles; sizes 63/64/65 straddle the word kernel's
+// 64-vertex limit.
+Graph Circulant(uint32_t n, std::initializer_list<uint32_t> strides) {
+  GraphBuilder builder;
+  for (uint32_t v = 0; v < n; ++v) builder.AddVertex(0);
+  for (uint32_t v = 0; v < n; ++v) {
+    for (uint32_t s : strides) builder.AddEdge(v, (v + s) % n);
+  }
+  return builder.Build();
+}
+
+// A one-label path over n vertices.
+Graph UnlabeledPath(uint32_t n) {
+  GraphBuilder builder;
+  for (uint32_t v = 0; v < n; ++v) builder.AddVertex(0);
+  for (uint32_t v = 1; v < n; ++v) builder.AddEdge(v - 1, v);
+  return builder.Build();
+}
 
 std::unique_ptr<Matcher> MakeMatcher(const std::string& name) {
   if (name == "GraphQL") return std::make_unique<GraphQlMatcher>();
@@ -114,6 +138,8 @@ TEST_P(MatcherTest, SingleVertexQuery) {
   const Graph q = MakeGraph({3}, {});
   const Graph g = MakeGraph({3, 3, 1}, {{0, 1}, {1, 2}});
   EXPECT_EQ(CountEmbeddings(q, g), 2u);
+  // At the word kernel's limit: every one of the 64 vertices, 63 included.
+  EXPECT_EQ(CountEmbeddings(MakeGraph({0}, {}), Circulant(64, {1, 2})), 64u);
 }
 
 TEST_P(MatcherTest, EmptyDataGraph) {
@@ -168,6 +194,46 @@ TEST_P(MatcherTest, CallbackReceivesValidEmbeddings) {
   EXPECT_GT(count, 0u);
 }
 
+TEST_P(MatcherTest, WordLimitBoundaryGraphsMatchBruteForce) {
+  const Graph diamond =
+      MakeGraph({0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}});
+  for (const uint32_t n : {63u, 64u, 65u}) {
+    const Graph g = Circulant(n, {1, 2});
+    for (const Graph& q : {MakeCycle({0, 0, 0}), MakeCycle({0, 0, 0, 0}),
+                           MakePath({0, 0, 0, 0}), diamond}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " |V(q)|="
+                                        << q.NumVertices());
+      const auto data = matcher_->Filter(q, g);
+      ASSERT_TRUE(data->Passed());
+      std::vector<std::vector<VertexId>> embeddings;
+      bool uses_63 = false;
+      matcher_->Enumerate(q, g, *data, UINT64_MAX, nullptr,
+                          [&](const std::vector<VertexId>& mapping) {
+                            embeddings.push_back(mapping);
+                            for (VertexId v : mapping) uses_63 |= v == 63;
+                            return true;
+                          });
+      EXPECT_EQ(Sorted(embeddings), Sorted(BruteForceAllEmbeddings(q, g)));
+      EXPECT_EQ(uses_63, n > 63);
+    }
+  }
+}
+
+TEST_P(MatcherTest, QueryWithMoreVerticesThanDataGraph) {
+  // Every query vertex has candidates (one label, degree 2 on both sides),
+  // but no injective mapping of 13 vertices into 12 exists.
+  const Graph g = Circulant(12, {1});
+  const Graph q = UnlabeledPath(13);
+  const auto data = matcher_->Filter(q, g);
+  if (data->Passed()) {
+    EXPECT_EQ(matcher_->Enumerate(q, g, *data, UINT64_MAX, nullptr)
+                  .embeddings,
+              0u);
+  }
+  DeadlineChecker unlimited{Deadline::Infinite()};
+  EXPECT_EQ(matcher_->Contains(q, g, &unlimited), 0);
+}
+
 // Randomized sweep: embedding counts must equal brute force, and the filter
 // must be complete (every embedding's mapped vertex appears in Φ(u)).
 TEST_P(MatcherTest, RandomizedAgainstBruteForce) {
@@ -205,6 +271,73 @@ TEST_P(MatcherTest, RandomizedAgainstBruteForce) {
     EXPECT_EQ(count, expected.size()) << GetParam() << " trial " << trial;
   }
   EXPECT_GT(nonzero_cases, 5);  // the sweep exercised real matches
+}
+
+// Runs the shared backtracking with label-bucket Φ and the BFS order from
+// vertex 0 — the oracle's own search order — collecting every embedding.
+struct LabelBucketRun {
+  EnumerateResult result;
+  std::vector<std::vector<VertexId>> embeddings;
+};
+
+LabelBucketRun RunOverLabelBuckets(const Graph& q, const Graph& g) {
+  CandidateSets phi(q.NumVertices());
+  for (VertexId u = 0; u < q.NumVertices(); ++u) {
+    const auto bucket = g.VerticesWithLabel(q.label(u));
+    phi.mutable_set(u).assign(bucket.begin(), bucket.end());
+  }
+  LabelBucketRun run;
+  MatchWorkspace ws;
+  run.result = BacktrackOverCandidates(
+      q, g, phi, BuildBfsTree(q, 0).order, UINT64_MAX, nullptr,
+      [&run](const std::vector<VertexId>& mapping) {
+        run.embeddings.push_back(mapping);
+        return true;
+      },
+      &ws);
+  return run;
+}
+
+// At 63, 64 and 65 data vertices the word kernel (and, at 65, the list
+// kernel) must give the oracle's embedding sequence, and the same search
+// tree as the list kernel on the padded graph.
+TEST(WordKernelTest, BoundarySizesMatchOracleAndListKernel) {
+  for (const uint32_t n : {63u, 64u, 65u}) {
+    const Graph g = Circulant(n, {1, 2});
+    const Graph padded = PadWithIsolatedVertices(g, 65);
+    for (const Graph& q : {MakeGraph({0}, {}), MakeCycle({0, 0, 0}),
+                           MakePath({0, 0, 0, 0}), MakeCycle({0, 0, 0, 0})}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " |V(q)|="
+                                        << q.NumVertices());
+      const LabelBucketRun run = RunOverLabelBuckets(q, g);
+      const LabelBucketRun lists = RunOverLabelBuckets(q, padded);
+      EXPECT_EQ(run.embeddings, BruteForceAllEmbeddings(q, g));
+      EXPECT_EQ(run.embeddings, lists.embeddings);
+      EXPECT_EQ(run.result.recursion_calls, lists.result.recursion_calls);
+      if (FitsInWord(g)) {
+        EXPECT_EQ(run.result.intersect_calls, 0u);
+      }
+      bool uses_63 = false;
+      for (const auto& mapping : run.embeddings) {
+        for (VertexId v : mapping) uses_63 |= v == 63;
+      }
+      EXPECT_EQ(uses_63, n > 63);
+    }
+  }
+}
+
+TEST(WordKernelTest, QueryLargerThanWordLimitFindsNothing) {
+  // 65 query vertices into a 64-vertex ring: every depth has candidates
+  // until the ring runs out, and both kernels walk the same tree.
+  const Graph g = Circulant(64, {1});
+  const Graph q = UnlabeledPath(65);
+  const LabelBucketRun run = RunOverLabelBuckets(q, g);
+  const LabelBucketRun lists =
+      RunOverLabelBuckets(q, PadWithIsolatedVertices(g, 65));
+  EXPECT_EQ(run.result.embeddings, 0u);
+  EXPECT_EQ(lists.result.embeddings, 0u);
+  EXPECT_GT(run.result.recursion_calls, 64u);
+  EXPECT_EQ(run.result.recursion_calls, lists.result.recursion_calls);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMatchers, MatcherTest,

@@ -4,6 +4,7 @@
 // (threads, chunk) combination must reproduce the serial vcFV result exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <memory>
@@ -16,8 +17,10 @@
 #include "matching/cfql.h"
 #include "matching/matcher.h"
 #include "matching/parallel_backtrack.h"
+#include "matching/workspace.h"
 #include "query/engine_factory.h"
 #include "query/parallel_vcfv_engine.h"
+#include "tests/test_util.h"
 #include "util/intersect.h"
 #include "util/rng.h"
 
@@ -106,47 +109,44 @@ TEST(ParallelDeterminismTest, RepeatedQueriesOnOneEngineAreStable) {
   }
 }
 
-TEST(ParallelDeterminismTest, ExtensionPathsAgreeUnderParallelism) {
-  // The intersection-based extension step must not perturb parallel
-  // determinism: every extension path (and the scalar-kernel fallback)
-  // through the parallel engine reproduces the serial probe-path result.
-  const ExtensionPath saved_path = DefaultExtensionPath();
+TEST(ParallelDeterminismTest, KernelsAgreeUnderParallelism) {
+  // The extension kernels must not perturb parallel determinism: the
+  // parallel engine on the word kernel (30-vertex graphs) and on the list
+  // kernel (the same graphs padded past 64 vertices, SIMD on and off)
+  // reproduces the serial word-kernel result.
   const bool saved_simd = IntersectSimdEnabled();
   const GraphDatabase db = MakeDb(19, 56);
+  const GraphDatabase padded = ::sgq::testing::PadPastWordLimit(db);
   const std::vector<Graph> queries = MakeQueries(db, 4, 37);
 
-  SetDefaultExtensionPath(ExtensionPath::kProbe);
   auto serial = MakeEngine("CFQL");
   ASSERT_TRUE(serial->Prepare(db, Deadline::Infinite()));
   std::vector<QueryResult> expected;
   for (const Graph& q : queries) expected.push_back(serial->Query(q));
 
   struct Config {
-    ExtensionPath path;
+    const GraphDatabase* db;
     bool simd;
+    const char* name;
   };
-  for (const Config& config :
-       {Config{ExtensionPath::kIntersect, true},
-        Config{ExtensionPath::kAdaptive, true},
-        Config{ExtensionPath::kIntersect, false}}) {
-    SetDefaultExtensionPath(config.path);
+  for (const Config& config : {Config{&db, true, "words"},
+                               Config{&padded, true, "lists"},
+                               Config{&padded, false, "lists-scalar"}}) {
     SetIntersectSimdEnabled(config.simd);
     ParallelVcfvEngine parallel(
         "CFQL-parallel", [] { return std::make_unique<CfqlMatcher>(); }, 4, 3);
-    ASSERT_TRUE(parallel.Prepare(db, Deadline::Infinite()));
+    ASSERT_TRUE(parallel.Prepare(*config.db, Deadline::Infinite()));
     for (size_t i = 0; i < queries.size(); ++i) {
       const QueryResult actual =
           parallel.Query(queries[i], Deadline::Infinite());
       SCOPED_TRACE(::testing::Message()
-                   << "path=" << static_cast<int>(config.path)
-                   << " simd=" << config.simd << " query=" << i);
+                   << "kernel=" << config.name << " query=" << i);
       EXPECT_EQ(actual.answers, expected[i].answers);
       EXPECT_EQ(actual.stats.num_candidates,
                 expected[i].stats.num_candidates);
       EXPECT_EQ(actual.stats.si_tests, expected[i].stats.si_tests);
     }
   }
-  SetDefaultExtensionPath(saved_path);
   SetIntersectSimdEnabled(saved_simd);
 }
 
@@ -296,21 +296,26 @@ TEST(ParallelDeterminismTest, IntraStealingMatchesSerialAcrossKnobs) {
   }
 }
 
-TEST(ParallelDeterminismTest, IntraStealingExtensionPathsAgree) {
-  const ExtensionPath saved_path = DefaultExtensionPath();
+TEST(ParallelDeterminismTest, IntraStealingKernelsAgree) {
+  const bool saved_simd = IntersectSimdEnabled();
   const GraphDatabase db = MakeDb(19, 56);
+  const GraphDatabase padded = ::sgq::testing::PadPastWordLimit(db);
   const std::vector<Graph> queries = MakeQueries(db, 4, 37);
 
-  SetDefaultExtensionPath(ExtensionPath::kProbe);
   auto serial = MakeEngine("CFQL");
   ASSERT_TRUE(serial->Prepare(db, Deadline::Infinite()));
   std::vector<QueryResult> expected;
   for (const Graph& q : queries) expected.push_back(serial->Query(q));
 
-  for (const ExtensionPath path :
-       {ExtensionPath::kProbe, ExtensionPath::kIntersect,
-        ExtensionPath::kAdaptive}) {
-    SetDefaultExtensionPath(path);
+  struct Config {
+    const GraphDatabase* db;
+    bool simd;
+    const char* name;
+  };
+  for (const Config& config : {Config{&db, true, "words"},
+                               Config{&padded, true, "lists"},
+                               Config{&padded, false, "lists-scalar"}}) {
+    SetIntersectSimdEnabled(config.simd);
     IntraQueryConfig intra;
     intra.enabled = true;
     intra.steal_chunk = 2;
@@ -318,18 +323,18 @@ TEST(ParallelDeterminismTest, IntraStealingExtensionPathsAgree) {
     ParallelVcfvEngine parallel(
         "CFQL-parallel-intra", [] { return std::make_unique<CfqlMatcher>(); },
         4, 3, intra);
-    ASSERT_TRUE(parallel.Prepare(db, Deadline::Infinite()));
+    ASSERT_TRUE(parallel.Prepare(*config.db, Deadline::Infinite()));
     for (size_t i = 0; i < queries.size(); ++i) {
       const QueryResult actual =
           parallel.Query(queries[i], Deadline::Infinite());
-      SCOPED_TRACE(::testing::Message() << "path=" << static_cast<int>(path)
-                                        << " query=" << i);
+      SCOPED_TRACE(::testing::Message()
+                   << "kernel=" << config.name << " query=" << i);
       EXPECT_EQ(actual.answers, expected[i].answers);
       EXPECT_EQ(actual.stats.num_candidates, expected[i].stats.num_candidates);
       EXPECT_EQ(actual.stats.si_tests, expected[i].stats.si_tests);
     }
   }
-  SetDefaultExtensionPath(saved_path);
+  SetIntersectSimdEnabled(saved_simd);
 }
 
 // Scheduler-level determinism: the merged embedding SEQUENCE (not just the
@@ -361,7 +366,7 @@ TEST(ParallelDeterminismTest, StealSchedulerEmbeddingSequencesBitIdentical) {
         serial_all.insert(serial_all.end(), m.begin(), m.end());
         return true;
       },
-      &serial_ws, DefaultExtensionPath());
+      &serial_ws);
   ASSERT_GT(serial_full.embeddings, 10u);
   const size_t stride = query.NumVertices();
 
@@ -395,12 +400,90 @@ TEST(ParallelDeterminismTest, StealSchedulerEmbeddingSequencesBitIdentical) {
               steal_flat.insert(steal_flat.end(), m.begin(), m.end());
               return true;
             },
-            &owner_ws, DefaultExtensionPath());
+            &owner_ws);
         done.store(true, std::memory_order_release);
         for (std::thread& h : helpers) h.join();
         EXPECT_EQ(stolen.embeddings, limit);
         EXPECT_FALSE(stolen.aborted);
         EXPECT_EQ(steal_flat, serial_flat);
+      }
+    }
+  }
+}
+
+// The same sequence check on a data graph the word kernel serves, with the
+// full search tree (recursion_calls) compared too when no limit truncates.
+TEST(ParallelDeterminismTest, StealSchedulerWordKernelMatchesSerial) {
+  Rng rng(314);
+  std::vector<Label> labels{0, 1};
+  GraphDatabase db;
+  db.Add(GenerateRandomGraph(40, 8.0, labels, &rng));
+  const Graph& data = db.graph(0);
+  ASSERT_TRUE(FitsInWord(data));
+  Graph query;
+  while (!GenerateQuery(db, QueryKind::kDense, 6, &rng, &query)) {
+  }
+  const CflMatcher matcher;
+  const auto filtered = matcher.Filter(query, data);
+  ASSERT_TRUE(filtered->Passed());
+  const std::vector<VertexId> order = JoinBasedOrder(query, filtered->phi);
+  ASSERT_GT(filtered->phi.set(order[0]).size(), 2u);
+
+  MatchWorkspace serial_ws;
+  std::vector<VertexId> serial_all;
+  const EnumerateResult serial = BacktrackOverCandidates(
+      query, data, filtered->phi, order, std::numeric_limits<uint64_t>::max(),
+      nullptr,
+      [&serial_all](const std::vector<VertexId>& m) {
+        serial_all.insert(serial_all.end(), m.begin(), m.end());
+        return true;
+      },
+      &serial_ws);
+  ASSERT_GT(serial.embeddings, 10u);
+  EXPECT_EQ(serial.intersect_calls, 0u);
+  const size_t stride = query.NumVertices();
+
+  for (const uint64_t limit :
+       {uint64_t{1}, uint64_t{7}, std::numeric_limits<uint64_t>::max()}) {
+    const uint64_t expected = std::min(limit, serial.embeddings);
+    const std::vector<VertexId> serial_flat(
+        serial_all.begin(), serial_all.begin() + expected * stride);
+    for (const uint32_t executors : {2u, 4u}) {
+      for (const uint32_t chunk : {1u, 2u}) {
+        SCOPED_TRACE(::testing::Message() << "limit=" << limit << " executors="
+                                          << executors << " chunk=" << chunk);
+        StealConfig config;
+        config.chunk = chunk;
+        config.heavy_threshold = 1;
+        StealScheduler sched(executors, config);
+        std::atomic<bool> done{false};
+        std::vector<std::thread> helpers;
+        for (uint32_t t = 1; t < executors; ++t) {
+          helpers.emplace_back([&sched, &done, t] {
+            MatchWorkspace helper_ws;
+            while (!done.load(std::memory_order_acquire)) {
+              if (!sched.TryHelp(t, &helper_ws)) std::this_thread::yield();
+            }
+          });
+        }
+        std::vector<VertexId> steal_flat;
+        MatchWorkspace owner_ws;
+        const EnumerateResult stolen = sched.Enumerate(
+            0, query, data, filtered->phi, order, limit, Deadline::Infinite(),
+            [&steal_flat](const std::vector<VertexId>& m) {
+              steal_flat.insert(steal_flat.end(), m.begin(), m.end());
+              return true;
+            },
+            &owner_ws);
+        done.store(true, std::memory_order_release);
+        for (std::thread& h : helpers) h.join();
+        EXPECT_EQ(stolen.embeddings, expected);
+        EXPECT_FALSE(stolen.aborted);
+        EXPECT_EQ(steal_flat, serial_flat);
+        if (limit == std::numeric_limits<uint64_t>::max()) {
+          EXPECT_EQ(stolen.recursion_calls, serial.recursion_calls);
+          EXPECT_EQ(stolen.local_candidates, serial.local_candidates);
+        }
       }
     }
   }
@@ -433,7 +516,7 @@ TEST(ParallelDeterminismTest, StealSchedulerPreExpiredDeadlineAborts) {
           ++calls;
           return true;
         },
-        &ws, DefaultExtensionPath());
+        &ws);
     EXPECT_TRUE(er.aborted);
     EXPECT_EQ(er.embeddings, 0u);
     EXPECT_EQ(calls, 0u);

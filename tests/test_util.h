@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/graph_database.h"
 #include "graph/types.h"
 
 namespace sgq::testing {
@@ -43,6 +44,36 @@ inline Graph MakeCycle(std::initializer_list<Label> labels) {
     builder.AddEdge(ids[i], ids[(i + 1) % ids.size()]);
   }
   return builder.Build();
+}
+
+// A label the generated databases and queries of the tests never use.
+inline constexpr Label kPaddingLabel = 1000;
+
+// `g` plus `count` isolated vertices labeled kPaddingLabel, appended after
+// g's own vertices so every existing id is unchanged. No query uses the
+// label, so filters, orders and search trees over the result equal those
+// over `g`; pushing a graph past 64 vertices this way switches matching
+// from the word kernel to the list kernel and nothing else.
+inline Graph PadWithIsolatedVertices(const Graph& g, uint32_t count) {
+  GraphBuilder builder;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) builder.AddVertex(g.label(v));
+  for (uint32_t i = 0; i < count; ++i) builder.AddVertex(kPaddingLabel);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    for (VertexId x : g.Neighbors(v)) {
+      if (v < x) builder.AddEdge(v, x);
+    }
+  }
+  return builder.Build();
+}
+
+// Every graph of `db` padded past the word kernel's 64-vertex limit (65
+// isolated vertices each).
+inline GraphDatabase PadPastWordLimit(const GraphDatabase& db) {
+  GraphDatabase padded;
+  for (GraphId g = 0; g < db.size(); ++g) {
+    padded.Add(PadWithIsolatedVertices(db.graph(g), 65));
+  }
+  return padded;
 }
 
 // Canonicalizes a list of embeddings for order-insensitive comparison.
