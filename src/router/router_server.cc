@@ -146,12 +146,12 @@ void RouterServer::AcceptLoop() {
     if (fds[0].revents == 0) continue;
     UniqueFd conn = AcceptConnection(listener_.get());
     if (!conn.valid()) continue;
-    connections_.emplace_back(&RouterServer::HandleConnection, this,
-                              std::move(conn));
+    connections_.Spawn([this, conn = std::move(conn)]() mutable {
+      HandleConnection(std::move(conn));
+    });
   }
   listener_.Reset();
-  for (std::thread& connection : connections_) connection.join();
-  connections_.clear();
+  connections_.JoinAll();
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
 }
 

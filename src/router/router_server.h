@@ -38,11 +38,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "cache/result_cache.h"
 #include "router/scatter_gather.h"
 #include "service/protocol.h"
+#include "util/connection_threads.h"
 #include "util/socket.h"
 
 namespace sgq {
@@ -114,7 +114,7 @@ class RouterServer {
   UniqueFd stop_pipe_rd_, stop_pipe_wr_;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
-  std::vector<std::thread> connections_;  // accept thread only
+  ConnectionThreads connections_;
   uint16_t port_ = 0;
   bool started_ = false;
 };

@@ -1,11 +1,12 @@
 #include "router/scatter_gather.h"
 
+#include <poll.h>
+
 #include <algorithm>
-#include <condition_variable>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
-#include <deque>
 #include <memory>
-#include <thread>
 #include <utility>
 
 namespace sgq {
@@ -120,127 +121,265 @@ ScatterGather::ScatterGather(RouterConfig config)
   stats_.shards_total = static_cast<uint32_t>(config_.shards.size());
 }
 
-bool ScatterGather::WithConnection(
-    size_t shard, const std::string& request,
-    const std::function<bool(ShardConnection*, std::string*)>& read,
-    std::string* error) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    std::unique_ptr<ShardConnection> connection =
-        attempt == 0 ? pool_.Checkout(shard)
-                     : std::make_unique<ShardConnection>(
-                           pool_.endpoint(shard));
-    if (!connection->Connect(error)) return false;  // fresh dial failed
-    const bool reused = connection->reused();
-    if (connection->Send(request, error) && read(connection.get(), error)) {
-      pool_.CheckIn(shard, std::move(connection));
-      return true;
-    }
-    // A reused pooled socket may simply have gone stale (shard restarted
-    // between requests); one fresh attempt distinguishes that from a down
-    // shard. Fresh-connection failures are final.
-    if (!reused) return false;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.retries;
+namespace {
+
+// The reply every shard of one fan-out sends.
+enum class ReplyShape {
+  kLine,    // one response line (admin verbs, mutations)
+  kIds,     // QUERY ... IDS: the head line, then one IDS line
+  kStream,  // QUERY ... STREAM: IDS chunk lines, then the head line
+};
+
+enum class Step { kMore, kDone, kFailed };
+
+// Checks the head line of a QUERY reply and parses its stats into *reply;
+// *num_answers gets the answer count it reports.
+bool ParseQueryHead(std::string_view line, ShardQueryReply* reply,
+                    uint64_t* num_answers, std::string* error) {
+  const ResponseHead head = ParseResponseHead(line);
+  switch (head.kind) {
+    case ResponseHead::Kind::kOk:
+    case ResponseHead::Kind::kTimeout:
+      break;
+    case ResponseHead::Kind::kOverloaded:
+      reply->overloaded = true;
+      *error = head.body.empty() ? "(no detail)" : head.body;
+      return false;
+    case ResponseHead::Kind::kBadRequest:
+      // An old server rejecting the LIMIT/IDS/STREAM grammar lands here;
+      // the message makes the version mismatch visible instead of a desync.
+      *error = "shard rejected request: " + head.body;
+      return false;
+    default:
+      *error = "malformed shard response: " + std::string(line);
+      return false;
   }
-  return false;
+  if (!head.has_count) {
+    *error = "query response without answer count: " + std::string(line);
+    return false;
+  }
+  if (!ParseQueryStatsJson(head.body, &reply->stats)) {
+    *error = "unparseable shard stats: " + head.body;
+    return false;
+  }
+  reply->timed_out = head.kind == ResponseHead::Kind::kTimeout;
+  *num_answers = head.num_answers;
+  return true;
 }
 
-ShardQueryReply ScatterGather::QueryShard(size_t shard,
-                                          const std::string& request,
-                                          Deadline deadline) {
-  ShardQueryReply reply;
-  const auto read = [&](ShardConnection* connection, std::string* error) {
-    std::string line;
-    if (!connection->ReadLine(deadline, &line, error)) return false;
-    const ResponseHead head = ParseResponseHead(line);
-    switch (head.kind) {
-      case ResponseHead::Kind::kOk:
-      case ResponseHead::Kind::kTimeout:
-        break;
-      case ResponseHead::Kind::kOverloaded:
-        reply.overloaded = true;
-        *error = head.body.empty() ? "(no detail)" : head.body;
-        return false;
-      case ResponseHead::Kind::kBadRequest:
-        // An old server rejecting the LIMIT/IDS grammar lands here; the
-        // message makes the version mismatch visible instead of a desync.
-        *error = "shard rejected request: " + head.body;
-        return false;
-      default:
-        *error = "malformed shard response: " + line;
-        return false;
+}  // namespace
+
+struct ScatterGather::Exchange {
+  Exchange(size_t shard, ReplyShape shape) : shard(shard), shape(shape) {}
+
+  // Consumes one complete reply line. kFailed sets reply.error.
+  Step OnLine(std::string_view text) {
+    std::string& error = reply.error;
+    switch (shape) {
+      case ReplyShape::kLine:
+        line.assign(text);
+        return Step::kDone;
+      case ReplyShape::kIds:
+        if (!have_head) {
+          if (!ParseQueryHead(text, &reply, &num_answers, &error)) {
+            return Step::kFailed;
+          }
+          have_head = true;
+          return Step::kMore;
+        }
+        if (ParseIdsLine(text, num_answers, &reply.ids)) return Step::kDone;
+        error = "bad IDS line (expected " + std::to_string(num_answers) +
+                " ids): " + std::string(text);
+        return Step::kFailed;
+      case ReplyShape::kStream:
+        if (text.starts_with("IDS")) {
+          if (ParseIdsChunk(text, &reply.ids)) return Step::kMore;
+          error = "bad IDS chunk: " + std::string(text);
+          return Step::kFailed;
+        }
+        if (!ParseQueryHead(text, &reply, &num_answers, &error)) {
+          return Step::kFailed;
+        }
+        if (num_answers == reply.ids.size()) return Step::kDone;
+        error = "streamed " + std::to_string(reply.ids.size()) +
+                " ids but terminal line reported " +
+                std::to_string(num_answers);
+        return Step::kFailed;
     }
-    if (!head.has_count) {
-      *error = "query response without answer count: " + line;
-      return false;
-    }
-    if (!ParseQueryStatsJson(head.body, &reply.stats)) {
-      *error = "unparseable shard stats: " + head.body;
-      return false;
-    }
-    std::string ids_line;
-    if (!connection->ReadLine(deadline, &ids_line, error)) return false;
-    if (!ParseIdsLine(ids_line, head.num_answers, &reply.ids)) {
-      *error = "bad IDS line (expected " +
-               std::to_string(head.num_answers) + " ids): " + ids_line;
-      return false;
-    }
-    reply.timed_out = head.kind == ResponseHead::Kind::kTimeout;
-    return true;
-  };
-  std::string error;
-  if (WithConnection(shard, request, read, &error)) {
-    reply.ok = true;
-  } else {
-    reply.ok = false;
-    reply.error = error.empty()
-                      ? pool_.endpoint(shard).ToString() + ": failed"
-                      : error;
+    return Step::kFailed;
   }
-  return reply;
+
+  const size_t shard;
+  const ReplyShape shape;
+  std::unique_ptr<ShardConnection> connection;  // null once done
+  bool replied = false;    // a reply byte arrived on `connection`
+  bool done = false;       // reply.ok tells success from failure
+  bool have_head = false;  // kIds: head line parsed, IDS line next
+  uint64_t num_answers = 0;
+  size_t forwarded = 0;    // kStream: reply.ids[0, forwarded) left the merge
+  ShardQueryReply reply;   // ok and error are used by every shape
+  std::string line;        // kLine: the response line
+};
+
+void ScatterGather::Gather(std::vector<Exchange>* exchanges,
+                           const std::string& request, Deadline deadline,
+                           ResultSink* sink, uint64_t limit) {
+  uint64_t retries = 0;
+  const auto finish = [&](Exchange& e, bool ok) {
+    e.done = true;
+    e.reply.ok = ok;
+    if (ok) pool_.CheckIn(e.shard, std::move(e.connection));
+    e.connection.reset();
+  };
+  const auto start = [&](Exchange& e,
+                         std::unique_ptr<ShardConnection> connection) {
+    e.connection = std::move(connection);
+    return e.connection->Connect(&e.reply.error) &&
+           e.connection->Send(request, &e.reply.error);
+  };
+  // A reused pooled socket that failed before any reply byte arrived may
+  // simply have gone stale (the shard restarted between requests); one
+  // fresh dial tells that from a down shard. Every other failure is final.
+  const auto fail = [&](Exchange& e) {
+    if (e.connection->reused() && !e.replied) {
+      ++retries;
+      if (start(e, std::make_unique<ShardConnection>(
+                       pool_.endpoint(e.shard)))) {
+        return;
+      }
+    }
+    finish(e, false);
+  };
+  for (Exchange& e : *exchanges) {
+    if (!start(e, pool_.Checkout(e.shard))) fail(e);
+  }
+
+  // STREAM: the next id that is safe to forward, if any. Shard streams are
+  // ascending, so once every shard still replying has an id buffered the
+  // smallest front is the global minimum of everything still to come. A
+  // failed shard no longer counts, and its unforwarded ids are dropped.
+  const auto next_safe = [&]() -> Exchange* {
+    Exchange* best = nullptr;
+    for (Exchange& e : *exchanges) {
+      if (e.done && !e.reply.ok) continue;
+      if (e.forwarded == e.reply.ids.size()) {
+        if (!e.done) return nullptr;  // may still send a smaller id
+      } else if (best == nullptr || e.reply.ids[e.forwarded] <
+                                        best->reply.ids[best->forwarded]) {
+        best = &e;
+      }
+    }
+    return best;
+  };
+  uint64_t emitted = 0;
+  bool sink_open = true;
+
+  std::vector<pollfd> fds;
+  std::vector<Exchange*> polled;
+  for (;;) {
+    if (sink != nullptr) {
+      // After the sink closes or LIMIT is reached the ids are still drained,
+      // so every shard is read to its terminal line and can be pooled.
+      const uint64_t before = emitted;
+      while (Exchange* e = next_safe()) {
+        const GraphId id = e->reply.ids[e->forwarded++];
+        if (sink_open && (limit == 0 || emitted < limit)) {
+          ++emitted;
+          sink_open = sink->OnAnswer(id);
+        }
+      }
+      if (emitted != before) sink->FlushHint();
+    }
+    fds.clear();
+    polled.clear();
+    for (Exchange& e : *exchanges) {
+      if (e.done) continue;
+      fds.push_back({e.connection->fd(), POLLIN, 0});
+      polled.push_back(&e);
+    }
+    if (fds.empty()) break;
+
+    const double remaining = deadline.SecondsRemaining();
+    int ready = 0;
+    if (remaining > 0) {
+      const double wait_ms = std::min(1000.0, std::ceil(remaining * 1000));
+      ready = ::poll(fds.data(), fds.size(), static_cast<int>(wait_ms));
+    }
+    if (remaining <= 0 || (ready < 0 && errno != EINTR)) {
+      // The rest of a reply cut short here may still arrive later, so
+      // these connections are dropped, never pooled.
+      for (Exchange* e : polled) {
+        e->reply.error = e->connection->endpoint().ToString() +
+                         (remaining <= 0 ? ": shard read timed out"
+                                         : ": poll failed");
+        finish(*e, false);
+      }
+      continue;
+    }
+    for (size_t i = 0; i < fds.size(); ++i) {
+      // POLLHUP and POLLERR count too: the read reports EOF or the error.
+      if (fds[i].revents == 0) continue;
+      Exchange& e = *polled[i];
+      if (!e.connection->ReadAvailable(&e.reply.error)) {
+        fail(e);
+        continue;
+      }
+      e.replied = true;
+      std::string_view line;
+      while (!e.done && e.connection->NextLine(&line)) {
+        const Step step = e.OnLine(line);
+        if (step != Step::kMore) finish(e, step == Step::kDone);
+      }
+    }
+  }
+  if (retries > 0) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.retries += retries;
+  }
 }
 
 MergedQuery ScatterGather::Query(const std::string& graph_text,
                                  double timeout_seconds, uint64_t limit) {
+  return Query(graph_text, timeout_seconds, limit, nullptr);
+}
+
+MergedQuery ScatterGather::Query(const std::string& graph_text,
+                                 double timeout_seconds, uint64_t limit,
+                                 ResultSink* sink) {
   const double timeout = timeout_seconds > 0
                              ? timeout_seconds
                              : config_.default_timeout_seconds;
-  // The deadline covers the whole fan-out; each shard is told the budget
-  // remaining when its request is built, so a silent shard costs deadline,
-  // not a hang.
+  // The deadline covers the whole fan-out; the shards are told the budget
+  // remaining at the send, so a silent shard costs deadline, not a hang.
   const Deadline deadline = Deadline::AfterSeconds(timeout);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.received;
   }
+  char limit_token[32] = "";
+  if (limit > 0) {
+    std::snprintf(limit_token, sizeof(limit_token), " LIMIT %llu",
+                  static_cast<unsigned long long>(limit));
+  }
+  char header[128];
+  const int header_len = std::snprintf(
+      header, sizeof(header), "QUERY %zu %.3f%s %s\n", graph_text.size(),
+      std::max(0.001, deadline.SecondsRemaining()), limit_token,
+      sink != nullptr ? "STREAM" : "IDS");
+  std::string request(header, static_cast<size_t>(header_len));
+  request += graph_text;
 
   const size_t num_shards = config_.shards.size();
-  std::vector<ShardQueryReply> replies(num_shards);
-  std::vector<std::thread> threads;
-  threads.reserve(num_shards);
+  std::vector<Exchange> exchanges;
+  exchanges.reserve(num_shards);
   for (size_t shard = 0; shard < num_shards; ++shard) {
-    threads.emplace_back([this, shard, &graph_text, limit, deadline,
-                          &replies] {
-      const double remaining =
-          std::max(0.001, deadline.SecondsRemaining());
-      char header[128];
-      int header_len;
-      if (limit > 0) {
-        header_len = std::snprintf(
-            header, sizeof(header), "QUERY %zu %.3f LIMIT %llu IDS\n",
-            graph_text.size(), remaining,
-            static_cast<unsigned long long>(limit));
-      } else {
-        header_len =
-            std::snprintf(header, sizeof(header), "QUERY %zu %.3f IDS\n",
-                          graph_text.size(), remaining);
-      }
-      std::string request(header, static_cast<size_t>(header_len));
-      request += graph_text;
-      replies[shard] = QueryShard(shard, request, deadline);
-    });
+    exchanges.emplace_back(
+        shard, sink != nullptr ? ReplyShape::kStream : ReplyShape::kIds);
   }
-  for (std::thread& thread : threads) thread.join();
+  Gather(&exchanges, request, deadline, sink, limit);
+  std::vector<ShardQueryReply> replies;
+  replies.reserve(num_shards);
+  for (Exchange& e : exchanges) replies.push_back(std::move(e.reply));
 
   MergedQuery merged =
       MergeShardResults(replies, config_.on_shard_failure, limit);
@@ -261,262 +400,32 @@ MergedQuery ScatterGather::Query(const std::string& graph_text,
   return merged;
 }
 
-// Shared between the per-shard reader threads (producers) and the calling
-// thread (the merger): per-shard ascending id queues plus a done flag each.
-// An id is safe to forward once every not-done shard has a buffered id —
-// the smallest front is then the global minimum of everything still to come.
-struct ScatterGather::StreamMerge {
-  explicit StreamMerge(size_t shards) : pending(shards), done(shards, 0) {}
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::deque<GraphId>> pending;
-  std::vector<char> done;
-};
-
-ShardQueryReply ScatterGather::QueryShardStreaming(size_t shard,
-                                                   const std::string& request,
-                                                   Deadline deadline,
-                                                   StreamMerge* merge) {
-  ShardQueryReply reply;
-  bool streamed_any = false;
-  const auto read = [&](ShardConnection* connection, std::string* error) {
-    std::vector<GraphId> chunk;
-    for (;;) {
-      std::string line;
-      if (!connection->ReadLine(deadline, &line, error)) return false;
-      if (line.rfind("IDS", 0) == 0) {
-        chunk.clear();
-        if (!ParseIdsChunk(line, &chunk)) {
-          *error = "bad IDS chunk: " + line;
-          return false;
-        }
-        reply.ids.insert(reply.ids.end(), chunk.begin(), chunk.end());
-        if (!chunk.empty()) {
-          streamed_any = true;
-          {
-            std::lock_guard<std::mutex> lock(merge->mu);
-            std::deque<GraphId>& dst = merge->pending[shard];
-            dst.insert(dst.end(), chunk.begin(), chunk.end());
-          }
-          merge->cv.notify_all();
-        }
-        continue;
-      }
-      const ResponseHead head = ParseResponseHead(line);
-      switch (head.kind) {
-        case ResponseHead::Kind::kOk:
-        case ResponseHead::Kind::kTimeout:
-          break;
-        case ResponseHead::Kind::kOverloaded:
-          reply.overloaded = true;
-          *error = head.body.empty() ? "(no detail)" : head.body;
-          return false;
-        case ResponseHead::Kind::kBadRequest:
-          // An old server rejecting the STREAM grammar lands here.
-          *error = "shard rejected request: " + head.body;
-          return false;
-        default:
-          *error = "malformed shard response: " + line;
-          return false;
-      }
-      if (!head.has_count) {
-        *error = "query response without answer count: " + line;
-        return false;
-      }
-      if (head.num_answers != reply.ids.size()) {
-        *error = "streamed " + std::to_string(reply.ids.size()) +
-                 " ids but terminal line reported " +
-                 std::to_string(head.num_answers);
-        return false;
-      }
-      if (!ParseQueryStatsJson(head.body, &reply.stats)) {
-        *error = "unparseable shard stats: " + head.body;
-        return false;
-      }
-      reply.timed_out = head.kind == ResponseHead::Kind::kTimeout;
-      return true;
-    }
-  };
-  // WithConnection's retry would replay already-merged (possibly already
-  // client-visible) ids, so retry a stale pooled socket only while nothing
-  // has been pushed to the merge.
-  std::string error;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    std::unique_ptr<ShardConnection> connection =
-        attempt == 0
-            ? pool_.Checkout(shard)
-            : std::make_unique<ShardConnection>(pool_.endpoint(shard));
-    if (!connection->Connect(&error)) break;
-    const bool reused = connection->reused();
-    if (connection->Send(request, &error) &&
-        read(connection.get(), &error)) {
-      pool_.CheckIn(shard, std::move(connection));
-      reply.ok = true;
-      return reply;
-    }
-    if (!reused || streamed_any) break;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.retries;
-  }
-  reply.ok = false;
-  reply.error = error.empty()
-                    ? pool_.endpoint(shard).ToString() + ": failed"
-                    : error;
-  return reply;
-}
-
-MergedQuery ScatterGather::Query(const std::string& graph_text,
-                                 double timeout_seconds, uint64_t limit,
-                                 ResultSink* sink) {
-  if (sink == nullptr) return Query(graph_text, timeout_seconds, limit);
-  const double timeout = timeout_seconds > 0
-                             ? timeout_seconds
-                             : config_.default_timeout_seconds;
-  const Deadline deadline = Deadline::AfterSeconds(timeout);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.received;
-  }
-
-  const size_t num_shards = config_.shards.size();
-  StreamMerge merge(num_shards);
-  std::vector<ShardQueryReply> replies(num_shards);
-  std::vector<std::thread> threads;
-  threads.reserve(num_shards);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    threads.emplace_back([this, shard, &graph_text, limit, deadline,
-                          &replies, &merge] {
-      const double remaining = std::max(0.001, deadline.SecondsRemaining());
-      char header[128];
-      int header_len;
-      if (limit > 0) {
-        header_len = std::snprintf(
-            header, sizeof(header), "QUERY %zu %.3f LIMIT %llu STREAM\n",
-            graph_text.size(), remaining,
-            static_cast<unsigned long long>(limit));
-      } else {
-        header_len =
-            std::snprintf(header, sizeof(header), "QUERY %zu %.3f STREAM\n",
-                          graph_text.size(), remaining);
-      }
-      std::string request(header, static_cast<size_t>(header_len));
-      request += graph_text;
-      replies[shard] = QueryShardStreaming(shard, request, deadline, &merge);
-      {
-        std::lock_guard<std::mutex> lock(merge.mu);
-        // A failed shard's reply is excluded from the merged result, so
-        // drop whatever it streamed but the merger has not forwarded yet
-        // (already-forwarded ids cannot be recalled — the caller's
-        // terminal line carries the failure).
-        if (!replies[shard].ok) merge.pending[shard].clear();
-        merge.done[shard] = 1;
-      }
-      merge.cv.notify_all();
-    });
-  }
-
-  // Incremental merge on the calling thread: repeatedly drain every id
-  // that is already order-safe into a batch, forward the batch without
-  // holding the merge lock (the sink writes to a socket), and sleep only
-  // when some not-done shard has an empty buffer. A shard with no answers
-  // sends nothing until its terminal line, so time-to-first-forwarded-id
-  // is bounded by the slowest shard's first flush — the price of strict
-  // global ordering.
-  uint64_t emitted = 0;
-  bool sink_open = true;
-  std::vector<GraphId> batch;
-  std::unique_lock<std::mutex> lock(merge.mu);
-  for (;;) {
-    batch.clear();
-    bool blocked = false;
-    for (;;) {
-      size_t best = num_shards;
-      blocked = false;
-      for (size_t i = 0; i < num_shards; ++i) {
-        if (!merge.pending[i].empty()) {
-          if (best == num_shards ||
-              merge.pending[i].front() < merge.pending[best].front()) {
-            best = i;
-          }
-        } else if (!merge.done[i]) {
-          blocked = true;
-          break;
-        }
-      }
-      if (blocked || best == num_shards) break;
-      batch.push_back(merge.pending[best].front());
-      merge.pending[best].pop_front();
-    }
-    if (!batch.empty()) {
-      lock.unlock();
-      for (const GraphId id : batch) {
-        if (!sink_open || (limit > 0 && emitted >= limit)) break;
-        ++emitted;
-        if (!sink->OnAnswer(id)) sink_open = false;
-      }
-      sink->FlushHint();
-      lock.lock();
-      continue;
-    }
-    if (!blocked) break;  // every shard done and every buffer drained
-    merge.cv.wait(lock);
-  }
-  lock.unlock();
-  for (std::thread& thread : threads) thread.join();
-
-  MergedQuery merged =
-      MergeShardResults(replies, config_.on_shard_failure, limit);
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  for (const ShardQueryReply& reply : replies) {
-    if (!reply.ok) ++stats_.shard_failures;
-  }
-  if (!merged.ok) {
-    ++stats_.failed;
-  } else {
-    if (merged.result.stats.timed_out) {
-      ++stats_.merged_timeout;
-    } else {
-      ++stats_.merged_ok;
-    }
-    if (merged.shards.ok < merged.shards.total) ++stats_.degraded;
-  }
-  return merged;
-}
-
 std::vector<ScatterGather::BroadcastReply> ScatterGather::Broadcast(
     const std::string& command_line) {
-  const Deadline deadline =
-      Deadline::AfterSeconds(config_.admin_timeout_seconds);
-  const std::string request = command_line + "\n";
-  const size_t num_shards = config_.shards.size();
-  std::vector<BroadcastReply> replies(num_shards);
-  std::vector<std::thread> threads;
-  threads.reserve(num_shards);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    threads.emplace_back([this, shard, &request, deadline, &replies] {
-      BroadcastReply& reply = replies[shard];
-      const auto read = [&](ShardConnection* connection,
-                            std::string* error) {
-        return connection->ReadLine(deadline, &reply.line, error);
-      };
-      reply.ok = WithConnection(shard, request, read, &reply.error);
-    });
+  std::vector<Exchange> exchanges;
+  exchanges.reserve(config_.shards.size());
+  for (size_t shard = 0; shard < config_.shards.size(); ++shard) {
+    exchanges.emplace_back(shard, ReplyShape::kLine);
   }
-  for (std::thread& thread : threads) thread.join();
+  Gather(&exchanges, command_line + "\n",
+         Deadline::AfterSeconds(config_.admin_timeout_seconds), nullptr, 0);
+  std::vector<BroadcastReply> replies;
+  replies.reserve(exchanges.size());
+  for (Exchange& e : exchanges) {
+    replies.push_back(
+        {e.reply.ok, std::move(e.line), std::move(e.reply.error)});
+  }
   return replies;
 }
 
 ScatterGather::BroadcastReply ScatterGather::SendToShard(
     size_t shard, const std::string& request) {
-  const Deadline deadline =
-      Deadline::AfterSeconds(config_.admin_timeout_seconds);
-  BroadcastReply reply;
-  const auto read = [&](ShardConnection* connection, std::string* error) {
-    return connection->ReadLine(deadline, &reply.line, error);
-  };
-  reply.ok = WithConnection(shard, request, read, &reply.error);
-  return reply;
+  std::vector<Exchange> exchanges;
+  exchanges.emplace_back(shard, ReplyShape::kLine);
+  Gather(&exchanges, request,
+         Deadline::AfterSeconds(config_.admin_timeout_seconds), nullptr, 0);
+  Exchange& e = exchanges.front();
+  return {e.reply.ok, std::move(e.line), std::move(e.reply.error)};
 }
 
 RouterStatsSnapshot ScatterGather::Stats() const {

@@ -27,7 +27,6 @@
 #define SGQ_ROUTER_SCATTER_GATHER_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -98,15 +97,20 @@ struct RouterStatsSnapshot {
 };
 
 // Thread-safe: any number of router connection threads may call Query()
-// and Broadcast() concurrently; each fan-out uses one thread per shard.
+// and Broadcast() concurrently. Each call does its whole fan-out on the
+// calling thread: it sends the request on every shard's pooled connection,
+// then one poll() loop reads all shard sockets until every reply is
+// complete or the deadline passes. Calls share only the connection pool
+// and the stats counters.
 class ScatterGather {
  public:
   explicit ScatterGather(RouterConfig config);
 
   // Fans `graph_text` out as `QUERY <len> <timeout> [LIMIT k] IDS` to all
   // shards and merges. `timeout_seconds <= 0` uses the config default;
-  // the remaining budget at each send is what a shard sees, so a dead
-  // shard consumes deadline, never hangs the router.
+  // the remaining budget at the send is what the shards see, and the poll
+  // loop waits no longer than that budget, so a dead or silent shard
+  // consumes deadline, never hangs the router.
   MergedQuery Query(const std::string& graph_text, double timeout_seconds,
                     uint64_t limit);
 
@@ -120,8 +124,10 @@ class ScatterGather {
   // stream). The returned MergedQuery is identical to the batch overload's
   // for the same replies. On a mid-stream shard failure ids may already
   // have been forwarded — the caller must signal the failure in its
-  // terminal line rather than pretend the prefix is complete. A null sink
-  // falls back to the batch overload.
+  // terminal line rather than pretend the prefix is complete. The sink is
+  // written from the poll loop and blocks it: a client that stops reading
+  // holds up the shards, as with a direct server. A null sink falls back
+  // to the batch overload.
   MergedQuery Query(const std::string& graph_text, double timeout_seconds,
                     uint64_t limit, ResultSink* sink);
 
@@ -149,31 +155,19 @@ class ScatterGather {
   const RouterConfig& config() const { return config_; }
 
  private:
-  // One complete exchange with `shard` over a pooled connection: checkout,
-  // connect, send, then let `read` consume the response lines; checked in
-  // afterwards only if everything succeeded. When a *reused* pooled socket
-  // fails (the shard restarted between requests), retries once from a
-  // fresh connection — all the verbs we send are idempotent.
-  bool WithConnection(
-      size_t shard, const std::string& request,
-      const std::function<bool(ShardConnection*, std::string*)>& read,
-      std::string* error);
+  // One shard's side of a fan-out (defined in the .cc).
+  struct Exchange;
 
-  ShardQueryReply QueryShard(size_t shard, const std::string& request,
-                             Deadline deadline);
-
-  // Per-fan-out state of the incremental merge (defined in the .cc).
-  struct StreamMerge;
-
-  // Streaming exchange with one shard: each IDS chunk line is appended to
-  // the reply *and* pushed into the merge state as it arrives; the
-  // terminal OK/TIMEOUT line ends the exchange. Retries a stale pooled
-  // socket only while no chunk has been pushed yet — once ids entered the
-  // merge they may have been forwarded to the client, so a later failure
-  // is final.
-  ShardQueryReply QueryShardStreaming(size_t shard,
-                                      const std::string& request,
-                                      Deadline deadline, StreamMerge* merge);
+  // Sends `request` to the shard of every exchange and reads every reply,
+  // in the shape the exchange expects, to its end or to `deadline`, all
+  // on the calling thread. A *reused* pooled socket that fails before any
+  // reply byte arrived (the shard restarted between requests) is
+  // re-dialed and re-sent once, counted in `retries`; every other failure
+  // is final. Connections go back to the pool only after a complete
+  // reply. With a sink (STREAM exchanges), order-safe ids are forwarded
+  // from the same loop, the first `limit` of them (0: all).
+  void Gather(std::vector<Exchange>* exchanges, const std::string& request,
+              Deadline deadline, ResultSink* sink, uint64_t limit);
 
   const RouterConfig config_;
   ShardConnectionPool pool_;

@@ -1,8 +1,6 @@
 #include "router/shard_client.h"
 
-#include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <utility>
 
 namespace sgq {
@@ -83,6 +81,7 @@ bool ShardConnection::Connect(std::string* error) {
   }
   reused_ = false;
   buffer_.clear();
+  consumed_ = scanned_ = 0;
   if (!endpoint_.unix_path.empty()) {
     fd_ = ConnectUnix(endpoint_.unix_path, error);
   } else {
@@ -108,53 +107,37 @@ bool ShardConnection::Send(std::string_view bytes, std::string* error) {
   return true;
 }
 
-bool ShardConnection::ReadLine(Deadline deadline, std::string* line,
-                               std::string* error) {
-  char buf[4096];
-  for (;;) {
-    const size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      line->assign(buffer_, 0, newline);
-      buffer_.erase(0, newline + 1);
-      return true;
-    }
-    if (buffer_.size() > kMaxShardResponseLineBytes) {
-      fd_.Reset();
-      *error = endpoint_.ToString() + ": response line too long";
-      return false;
-    }
-    if (!fd_.valid()) {
-      *error = endpoint_.ToString() + ": not connected";
-      return false;
-    }
-    const double remaining = deadline.SecondsRemaining();
-    if (remaining <= 0) {
-      // An unread response may still arrive later; the connection is
-      // desynced and must be discarded by the caller.
-      fd_.Reset();
-      *error = endpoint_.ToString() + ": shard read timed out";
-      return false;
-    }
-    const int wait_ms = std::isinf(remaining)
-                            ? 1000
-                            : static_cast<int>(std::min(
-                                  1000.0, std::ceil(remaining * 1000)));
-    const int ready = PollReadable(fd_.get(), std::max(1, wait_ms));
-    if (ready < 0) {
-      fd_.Reset();
-      *error = endpoint_.ToString() + ": poll failed";
-      return false;
-    }
-    if (ready == 0) continue;  // re-check the deadline
-    const ssize_t n = ReadSome(fd_.get(), buf, sizeof(buf));
-    if (n <= 0) {
-      fd_.Reset();
-      *error = endpoint_.ToString() +
-               (n == 0 ? ": connection closed by shard" : ": read failed");
-      return false;
-    }
-    buffer_.append(buf, static_cast<size_t>(n));
+bool ShardConnection::ReadAvailable(std::string* error) {
+  // Drop the lines already handed out: one move per read, not per line.
+  buffer_.erase(0, consumed_);
+  scanned_ -= consumed_;
+  consumed_ = 0;
+  if (buffer_.size() > kMaxShardResponseLineBytes) {
+    fd_.Reset();
+    *error = endpoint_.ToString() + ": response line too long";
+    return false;
   }
+  char buf[64 * 1024];
+  const ssize_t n = ReadSome(fd_.get(), buf, sizeof(buf));
+  if (n <= 0) {
+    fd_.Reset();
+    *error = endpoint_.ToString() +
+             (n == 0 ? ": connection closed by shard" : ": read failed");
+    return false;
+  }
+  buffer_.append(buf, static_cast<size_t>(n));
+  return true;
+}
+
+bool ShardConnection::NextLine(std::string_view* line) {
+  const size_t newline = buffer_.find('\n', scanned_);
+  if (newline == std::string::npos) {
+    scanned_ = buffer_.size();
+    return false;
+  }
+  *line = std::string_view(buffer_).substr(consumed_, newline - consumed_);
+  consumed_ = scanned_ = newline + 1;
+  return true;
 }
 
 std::unique_ptr<ShardConnection> ShardConnectionPool::Checkout(size_t shard) {

@@ -1,11 +1,13 @@
 // Router-side client plumbing for one shard backend: endpoint addressing,
-// a persistent line-protocol connection with deadline-bounded reads, and a
-// per-shard connection pool.
+// a persistent line-protocol connection, and a per-shard connection pool.
+// The connection does no waiting of its own: the scatter-gather loop
+// (scatter_gather.cc) polls the sockets of all shards of a request at once
+// and asks each ready connection for its bytes and complete lines.
 //
-// Failure handling is the caller's job (scatter_gather.cc): a connection
-// that saw any error — including a read that ran out of deadline, which
-// leaves an unread response in flight — must be dropped, never checked
-// back in, because the line protocol cannot be resynchronized.
+// Failure handling is the caller's job: a connection that saw any error,
+// or whose reply the deadline cut short (the rest of that reply may still
+// arrive later), must be dropped, never checked back in, because the line
+// protocol cannot be resynchronized.
 #ifndef SGQ_ROUTER_SHARD_CLIENT_H_
 #define SGQ_ROUTER_SHARD_CLIENT_H_
 
@@ -17,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/deadline.h"
 #include "util/socket.h"
 
 namespace sgq {
@@ -48,7 +49,7 @@ bool ParseShardEndpoints(std::string_view csv,
 inline constexpr size_t kMaxShardResponseLineBytes = 64 * 1024 * 1024;
 
 // A single connection to a shard server. Not thread-safe; ownership moves
-// between the pool and exactly one scatter-gather worker at a time.
+// between the pool and exactly one request's fan-out at a time.
 class ShardConnection {
  public:
   explicit ShardConnection(ShardEndpoint endpoint)
@@ -57,6 +58,7 @@ class ShardConnection {
   // Connects if not already connected. False + *error on failure.
   bool Connect(std::string* error);
   bool connected() const { return fd_.valid(); }
+  int fd() const { return fd_.get(); }
   // True when this object had a live connection before the current
   // request — i.e. a send/read failure may just mean the pooled socket
   // went stale, and the caller should retry once on a fresh connection.
@@ -64,18 +66,28 @@ class ShardConnection {
 
   bool Send(std::string_view bytes, std::string* error);
 
-  // Reads one '\n'-terminated line (terminator stripped) by `deadline`.
-  // False + *error on EOF, socket error, oversized line, or deadline
-  // expiry ("shard read timed out"). Bytes past the line stay buffered
-  // for the next call.
-  bool ReadLine(Deadline deadline, std::string* line, std::string* error);
+  // Appends the bytes the socket has now to the buffer: one read(2), to
+  // be called when poll() reports the socket readable. False + *error on
+  // EOF, socket error or a line longer than kMaxShardResponseLineBytes;
+  // the socket is closed then.
+  bool ReadAvailable(std::string* error);
+
+  // Takes the next complete line (terminator stripped) out of the buffer;
+  // false when no complete line is buffered. Scanning resumes where the
+  // last call stopped, so a line that arrives in many reads is scanned
+  // once. The view stays valid until the next ReadAvailable.
+  bool NextLine(std::string_view* line);
 
   const ShardEndpoint& endpoint() const { return endpoint_; }
 
  private:
   ShardEndpoint endpoint_;
   UniqueFd fd_;
+  // buffer_[0, consumed_) has been handed out as lines; buffer_[consumed_,
+  // scanned_) holds no newline.
   std::string buffer_;
+  size_t consumed_ = 0;
+  size_t scanned_ = 0;
   bool reused_ = false;
 };
 

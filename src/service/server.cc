@@ -114,16 +114,16 @@ void SocketServer::AcceptLoop() {
     if (fds[0].revents == 0) continue;
     UniqueFd conn = AcceptConnection(listener_.get());
     if (!conn.valid()) continue;
-    connections_.emplace_back(&SocketServer::HandleConnection, this,
-                              std::move(conn));
+    connections_.Spawn([this, conn = std::move(conn)]() mutable {
+      HandleConnection(std::move(conn));
+    });
   }
   // Graceful teardown: no new connections, drain every admitted query
   // (connection threads blocked in Execute() get their responses), then
   // wait for the connection threads to flush and exit.
   listener_.Reset();
   service_.Shutdown();
-  for (std::thread& connection : connections_) connection.join();
-  connections_.clear();
+  connections_.JoinAll();
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
 }
 

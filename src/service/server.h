@@ -14,10 +14,10 @@
 #include <cstdint>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/protocol.h"
 #include "service/query_service.h"
+#include "util/connection_threads.h"
 #include "util/socket.h"
 
 namespace sgq {
@@ -76,7 +76,7 @@ class SocketServer {
   UniqueFd stop_pipe_rd_, stop_pipe_wr_;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
-  std::vector<std::thread> connections_;  // accept thread only
+  ConnectionThreads connections_;
   uint16_t port_ = 0;
   bool started_ = false;
 };

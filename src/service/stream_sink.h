@@ -13,10 +13,11 @@
 
 namespace sgq {
 
-// OnAnswer is called from whichever thread drives the scan (a service
-// worker, or the router's merge thread), but the connection thread is
-// blocked on the request until the scan finishes, so the socket has
-// exactly one writer at any moment. A failed write makes OnAnswer return
+// OnAnswer is called from whichever thread drives the scan: a service
+// worker, while the connection thread is blocked on the request until the
+// scan finishes, or the router's connection thread itself, from its
+// fan-out loop. Either way the socket has exactly one writer at any
+// moment. A failed write makes OnAnswer return
 // false, which stops the enumeration at the matcher — no point scanning
 // for a peer that hung up.
 class SocketStreamSink : public ResultSink {

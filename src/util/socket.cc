@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -27,6 +28,16 @@ bool FillUnixAddr(const std::string& path, sockaddr_un* addr,
   addr->sun_family = AF_UNIX;
   std::memcpy(addr->sun_path, path.data(), path.size());
   return true;
+}
+
+// With Nagle's algorithm a small write waits until the previous one is
+// ACKed, and the peer delays that ACK by up to ~40 ms. A request written as
+// header then payload, or a STREAM reply of chunk lines then a terminal
+// line, would stall that long. Every message of the line protocol waits on
+// its reply, so TCP sockets send at once.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 bool FillTcpAddr(const std::string& host, uint16_t port, sockaddr_in* addr,
@@ -80,6 +91,7 @@ UniqueFd ListenTcp(const std::string& host, uint16_t port,
   }
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  SetNoDelay(fd.get());  // Linux accepted sockets inherit it
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     *error = Errno("bind " + host + ":" + std::to_string(port));
@@ -132,6 +144,7 @@ UniqueFd ConnectTcp(const std::string& host, uint16_t port,
     *error = Errno("connect " + host + ":" + std::to_string(port));
     return UniqueFd();
   }
+  SetNoDelay(fd.get());
   return fd;
 }
 

@@ -51,11 +51,12 @@ class UniqueFd {
 UniqueFd ListenUnix(const std::string& path, std::string* error);
 
 // Creates a listening TCP socket bound to host:port (port 0 picks an
-// ephemeral port, reported via *bound_port, which may be null).
+// ephemeral port, reported via *bound_port, which may be null). The
+// listener has TCP_NODELAY set, so the sockets it accepts have it too.
 UniqueFd ListenTcp(const std::string& host, uint16_t port,
                    uint16_t* bound_port, std::string* error);
 
-// Client-side connects.
+// Client-side connects. TCP sockets get TCP_NODELAY.
 UniqueFd ConnectUnix(const std::string& path, std::string* error);
 UniqueFd ConnectTcp(const std::string& host, uint16_t port,
                     std::string* error);

@@ -5,8 +5,12 @@
 // must produce the same response a single unsharded server produces,
 // including the IDS line, the ordering, and LIMIT semantics. On top of
 // that: STATS / RELOAD / CACHE CLEAR fan-out, the degraded-vs-error
-// policies when a shard dies, reconnection after a shard restart, and a
-// dead shard consuming deadline rather than hanging the router.
+// policies when a shard dies, reconnection after a shard restart, a
+// dead shard consuming deadline rather than hanging the router, a fleet
+// over TCP, and the router joining the threads of closed connections.
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 #include "router/router_server.h"
 #include "router/shard_map.h"
 #include "service/server.h"
+#include "tests/line_client.h"
 #include "tests/test_util.h"
 #include "util/socket.h"
 #include "util/timer.h"
@@ -46,71 +51,7 @@ std::string UniqueSocketPath(const char* tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-// Minimal blocking line-protocol client (same shape as service_e2e_test).
-class Client {
- public:
-  bool Connect(const std::string& path) {
-    std::string error;
-    fd_ = ConnectUnix(path, &error);
-    return fd_.valid();
-  }
-
-  bool Send(const std::string& bytes) { return WriteAll(fd_.get(), bytes); }
-
-  bool RecvLine(std::string* line) {
-    line->clear();
-    for (;;) {
-      const size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        *line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return true;
-      }
-      char chunk[512];
-      const ssize_t n = ReadSome(fd_.get(), chunk, sizeof(chunk));
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
-  // One QUERY ... IDS exchange. Returns the head line; *ids gets the IDS
-  // continuation line when the head carries an answer count (OK/TIMEOUT),
-  // "" otherwise.
-  std::string QueryIds(const std::string& payload, std::string* ids,
-                       uint64_t limit = 0, double timeout_seconds = 0) {
-    std::string header = "QUERY " + std::to_string(payload.size());
-    if (timeout_seconds > 0) header += ' ' + std::to_string(timeout_seconds);
-    if (limit > 0) header += " LIMIT " + std::to_string(limit);
-    header += " IDS\n";
-    ids->clear();
-    std::string line;
-    if (!Send(header) || !Send(payload) || !RecvLine(&line)) return "";
-    const ResponseHead head = ParseResponseHead(line);
-    if (head.has_count && !RecvLine(ids)) return "";
-    return line;
-  }
-
-  // One QUERY ... STREAM exchange: consumes incremental IDS chunk lines
-  // into `ids` and returns the terminal line ("" on drop/bad chunk).
-  std::string StreamQuery(const std::string& payload, uint64_t limit,
-                          std::vector<GraphId>* ids) {
-    std::string header = "QUERY " + std::to_string(payload.size());
-    if (limit > 0) header += " LIMIT " + std::to_string(limit);
-    header += " STREAM\n";
-    ids->clear();
-    if (!Send(header) || !Send(payload)) return "";
-    std::string line;
-    for (;;) {
-      if (!RecvLine(&line)) return "";
-      if (line.rfind("IDS", 0) != 0) return line;
-      if (!ParseIdsChunk(line, ids)) return "";
-    }
-  }
-
- private:
-  UniqueFd fd_;
-  std::string buffer_;
-};
+using Client = sgq::testing::LineClient;
 
 // SocketServer::Start consumes the database by value; tests keep a master
 // copy and hand out clones.
@@ -630,6 +571,139 @@ TEST(RouterE2eTest, DeadShardConsumesDeadlineNotForever) {
   router.Wait();
   live.RequestStop();
   live.Wait();
+}
+
+bool HasNoDelay(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) == 0 &&
+         value == 1;
+}
+
+double MedianMs(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+TEST(RouterE2eTest, TcpFleetAnswersLikeUnixFleetWithoutNagleStalls) {
+  // Connected and accepted TCP sockets both send without Nagle's delay.
+  std::string error;
+  uint16_t port = 0;
+  UniqueFd listener = ListenTcp("127.0.0.1", 0, &port, &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  UniqueFd connected = ConnectTcp("127.0.0.1", port, &error);
+  ASSERT_TRUE(connected.valid()) << error;
+  UniqueFd accepted = AcceptConnection(listener.get());
+  ASSERT_TRUE(accepted.valid());
+  EXPECT_TRUE(HasNoDelay(connected.get()));
+  EXPECT_TRUE(HasNoDelay(accepted.get()));
+
+  // The same database behind two fleets: the Unix-socket one, and two
+  // shard servers on TCP port 0 behind a router that listens on TCP too.
+  const GraphDatabase db = SmallDb();
+  Fleet unix_fleet;
+  ASSERT_TRUE(unix_fleet.Start(Clone(db), ShardFailurePolicy::kError, &error))
+      << error;
+  std::unique_ptr<SocketServer> tcp_shards[Fleet::kShards];
+  RouterConfig router_config;
+  for (uint32_t i = 0; i < Fleet::kShards; ++i) {
+    ServerConfig server_config;
+    server_config.port = 0;
+    server_config.shard_index = i;
+    server_config.shard_count = Fleet::kShards;
+    ServiceConfig service_config;
+    service_config.workers = 2;
+    service_config.queue_capacity = 16;
+    tcp_shards[i] =
+        std::make_unique<SocketServer>(server_config, service_config);
+    ASSERT_TRUE(tcp_shards[i]->Start(Clone(db), &error)) << error;
+    ShardEndpoint endpoint;
+    endpoint.host = "127.0.0.1";
+    endpoint.port = tcp_shards[i]->port();
+    router_config.shards.push_back(endpoint);
+  }
+  router_config.forward_shutdown = false;
+  RouterServerConfig router_server_config;
+  router_server_config.port = 0;
+  RouterServer tcp_router(router_server_config, router_config);
+  ASSERT_TRUE(tcp_router.Start(&error)) << error;
+
+  Client over_unix, over_tcp;
+  ASSERT_TRUE(over_unix.Connect(unix_fleet.router_path));
+  ASSERT_TRUE(over_tcp.ConnectTcp(tcp_router.port()));
+  std::vector<std::string> payloads;
+  for (GraphId id = 0; id < 6; ++id) {
+    payloads.push_back(SerializeGraph(db.graph(id), id));
+  }
+  payloads.push_back(SerializeGraph(sgq::testing::MakePath({0, 1}), 0));
+  payloads.push_back(SerializeGraph(sgq::testing::MakeCycle({0, 1, 2}), 0));
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    SCOPED_TRACE("payload " + std::to_string(i));
+    std::string unix_ids, tcp_ids;
+    const std::string unix_line = over_unix.QueryIds(payloads[i], &unix_ids);
+    const std::string tcp_line = over_tcp.QueryIds(payloads[i], &tcp_ids);
+    ASSERT_EQ(ParseResponseHead(tcp_line).kind, ResponseHead::Kind::kOk)
+        << tcp_line;
+    EXPECT_EQ(tcp_ids, unix_ids);
+    std::vector<GraphId> unix_streamed, tcp_streamed;
+    over_unix.StreamQuery(payloads[i], 0, &unix_streamed);
+    const std::string terminal =
+        over_tcp.StreamQuery(payloads[i], 0, &tcp_streamed);
+    ASSERT_EQ(terminal.rfind("OK ", 0), 0u) << terminal;
+    EXPECT_EQ(tcp_streamed, unix_streamed);
+  }
+
+  // Requests written in two sends (header, then payload), and STREAM
+  // replies of chunk lines then a terminal line: with Nagle's algorithm
+  // the second write waits for the peer's delayed ACK, ~40 ms.
+  std::vector<double> batch_ms, stream_ms;
+  for (int i = 0; i < 20; ++i) {
+    std::string ids;
+    WallTimer batch_timer;
+    const std::string line = over_tcp.QueryIds(payloads.back(), &ids);
+    batch_ms.push_back(batch_timer.ElapsedMillis());
+    ASSERT_EQ(ParseResponseHead(line).kind, ResponseHead::Kind::kOk) << line;
+    std::vector<GraphId> streamed;
+    WallTimer stream_timer;
+    const std::string terminal =
+        over_tcp.StreamQuery(payloads.back(), 0, &streamed);
+    stream_ms.push_back(stream_timer.ElapsedMillis());
+    ASSERT_EQ(terminal.rfind("OK ", 0), 0u) << terminal;
+    ASSERT_FALSE(streamed.empty());
+  }
+  EXPECT_LT(MedianMs(batch_ms), 10.0);
+  EXPECT_LT(MedianMs(stream_ms), 10.0);
+
+  tcp_router.RequestStop();
+  tcp_router.Wait();
+  for (const auto& shard : tcp_shards) {
+    shard->RequestStop();
+    shard->Wait();
+  }
+  unix_fleet.Stop();
+}
+
+TEST(RouterE2eTest, ClosedConnectionsDoNotLeakThreadStacks) {
+  // As for a shard server: a connection thread joined only at shutdown
+  // keeps its ~8 MB stack mapped after its client has gone.
+  std::string error;
+  Fleet fleet;
+  ASSERT_TRUE(fleet.Start(SmallDb(10), ShardFailurePolicy::kError, &error))
+      << error;
+  const auto one_connection = [&] {
+    Client client;
+    ASSERT_TRUE(client.Connect(fleet.router_path));
+    std::string ids;
+    const std::string line = client.QueryIds(
+        SerializeGraph(sgq::testing::MakePath({0, 1}), 0), &ids);
+    ASSERT_EQ(ParseResponseHead(line).kind, ResponseHead::Kind::kOk) << line;
+  };
+  for (int i = 0; i < 10; ++i) one_connection();  // warm the stack cache
+  const long before_kb = sgq::testing::VmSizeKb();
+  ASSERT_GT(before_kb, 0);
+  for (int i = 0; i < 200; ++i) one_connection();
+  EXPECT_LT(sgq::testing::VmSizeKb() - before_kb, 200 * 1024);
+  fleet.Stop();
 }
 
 // The mutation acceptance criterion for sharding: an interleaved stream

@@ -3,8 +3,9 @@
 // protocol, ≥100 queries over ≥4 concurrent connections, a deliberate
 // TIMEOUT, a deterministic OVERLOADED, STATS totals that must match the
 // client-side counts exactly, a graceful shutdown that drains, the cache
-// section of STATS with CACHE CLEAR over the wire, and RELOAD invalidation
-// under concurrent query load. Runs under the `tsan` ctest label.
+// section of STATS with CACHE CLEAR over the wire, RELOAD invalidation
+// under concurrent query load, and the threads of closed connections being
+// joined while the server runs. Runs under the `tsan` ctest label.
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -641,6 +642,38 @@ TEST(ServiceE2eTest, ShutdownWithIdleConnectionsDoesNotHang) {
   server.RequestStop();
   server.Wait();  // must return despite the idle/truncated connections
   EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
+}
+
+TEST(ServiceE2eTest, ClosedConnectionsDoNotLeakThreadStacks) {
+  // Every connection gets a thread. Joined only at shutdown, each closed
+  // connection would keep its stack mapped: ~8 MB of address space, so 200
+  // connections would add ~1.6 GB of VmSize.
+  const std::string socket_path = UniqueSocketPath("reap");
+  ServerConfig server_config;
+  server_config.unix_path = socket_path;
+  ServiceConfig service_config;
+  service_config.workers = 1;
+  service_config.queue_capacity = 4;
+  SocketServer server(server_config, service_config);
+  std::string error;
+  ASSERT_TRUE(server.Start(SmallDb(10), &error)) << error;
+
+  const auto one_connection = [&] {
+    Client client;
+    ASSERT_TRUE(client.Connect(socket_path));
+    std::string line;
+    ASSERT_TRUE(client.Send("STATS\n"));
+    ASSERT_TRUE(client.RecvLine(&line));
+    ASSERT_EQ(line.rfind("OK {", 0), 0u) << line;
+  };
+  for (int i = 0; i < 10; ++i) one_connection();  // warm the stack cache
+  const long before_kb = sgq::testing::VmSizeKb();
+  ASSERT_GT(before_kb, 0);
+  for (int i = 0; i < 200; ++i) one_connection();
+  EXPECT_LT(sgq::testing::VmSizeKb() - before_kb, 200 * 1024);
+
+  server.RequestStop();
+  server.Wait();
 }
 
 // The full mutation verb surface over the wire: inline and @file ADD,

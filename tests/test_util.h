@@ -3,7 +3,10 @@
 #define SGQ_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <initializer_list>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -81,6 +84,17 @@ inline std::vector<std::vector<VertexId>> Sorted(
     std::vector<std::vector<VertexId>> embeddings) {
   std::sort(embeddings.begin(), embeddings.end());
   return embeddings;
+}
+
+// This process's virtual size (VmSize in /proc/self/status) in kB; 0 when
+// it cannot be read.
+inline long VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::atol(line.c_str() + 7);
+  }
+  return 0;
 }
 
 }  // namespace sgq::testing
