@@ -520,9 +520,7 @@ BENCHMARK(BM_QueryThroughputCfqlSerial)
 
 void BM_QueryThroughputCfqlParallel(benchmark::State& state) {
   const ThroughputFixture& f = GetThroughputFixture();
-  ParallelVcfvEngine engine(
-      "CFQL-parallel", [] { return std::make_unique<CfqlMatcher>(); },
-      static_cast<uint32_t>(state.range(0)));
+  ParallelVcfvEngine engine(static_cast<uint32_t>(state.range(0)));
   if (!engine.Prepare(f.db, Deadline::Infinite())) {
     state.SkipWithError("Prepare failed");
     return;
@@ -607,14 +605,12 @@ struct StealFixture {
     // embedding sequence, not just the same count.
     StealScheduler sched(4, StealConfig{});
     std::vector<VertexId> steal_flat;
-    std::atomic<bool> done{false};
+    sched.BeginScan();
     std::vector<std::thread> helpers;
     for (uint32_t t = 1; t < 4; ++t) {
-      helpers.emplace_back([&sched, &done, t] {
+      helpers.emplace_back([&sched, t] {
         MatchWorkspace helper_ws;
-        while (!done.load(std::memory_order_acquire)) {
-          if (!sched.TryHelp(t, &helper_ws)) std::this_thread::yield();
-        }
+        sched.FinishScan(t, &helper_ws);
       });
     }
     MatchWorkspace owner_ws;
@@ -625,7 +621,7 @@ struct StealFixture {
           return true;
         },
         &owner_ws);
-    done.store(true, std::memory_order_release);
+    sched.FinishScan(0, &owner_ws);
     for (std::thread& h : helpers) h.join();
     SGQ_CHECK(stolen.embeddings == serial.embeddings &&
               steal_flat == serial_flat)
@@ -670,21 +666,19 @@ void BM_EnumerateStealSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateStealSerial)->Unit(benchmark::kMillisecond);
 
-// Arg = executor count. Executor 0 owns the job; the rest are dedicated
-// helper threads looping TryHelp, exactly the engine's drained-worker help
-// phase.
+// Arg = executor count. Executor 0 owns the jobs; the rest are dedicated
+// helper threads with no graphs to scan, which steal until executor 0
+// finishes its scan, exactly the engine's help phase.
 void BM_EnumerateSteal(benchmark::State& state) {
   const StealFixture& f = GetStealFixture();
   const uint32_t executors = static_cast<uint32_t>(state.range(0));
   StealScheduler sched(executors, StealConfig{});
-  std::atomic<bool> done{false};
+  sched.BeginScan();
   std::vector<std::thread> helpers;
   for (uint32_t t = 1; t < executors; ++t) {
-    helpers.emplace_back([&sched, &done, t] {
+    helpers.emplace_back([&sched, t] {
       MatchWorkspace helper_ws;
-      while (!done.load(std::memory_order_acquire)) {
-        if (!sched.TryHelp(t, &helper_ws)) std::this_thread::yield();
-      }
+      sched.FinishScan(t, &helper_ws);
     });
   }
   MatchWorkspace owner_ws;
@@ -700,13 +694,13 @@ void BM_EnumerateSteal(benchmark::State& state) {
     ++iterations;
     if (min_ns == 0 || ns < min_ns) min_ns = ns;
     if (er.embeddings != f.expected_embeddings) {
-      done.store(true, std::memory_order_release);
+      sched.FinishScan(0, &owner_ws);
       for (std::thread& h : helpers) h.join();
       state.SkipWithError("embedding count diverged");
       return;
     }
   }
-  done.store(true, std::memory_order_release);
+  sched.FinishScan(0, &owner_ws);
   for (std::thread& h : helpers) h.join();
   const double serial_ns =
       g_measured_serial_ns > 0 ? g_measured_serial_ns : f.serial_ns;

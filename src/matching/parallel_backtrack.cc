@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <mutex>
-#include <thread>
 
 #include "matching/workspace.h"
 #include "util/logging.h"
+#include "util/timer.h"
 #include "util/work_stealing.h"
 
 namespace sgq {
@@ -109,8 +109,9 @@ bool StealScheduler::ShouldSplit(size_t num_roots) const {
   return num_roots > EffectiveChunk(num_roots);
 }
 
-bool StealScheduler::CanHelp(uint32_t id) const {
-  return config_.intra_threads == 0 || id < config_.intra_threads;
+void StealScheduler::Wake() {
+  wake_.fetch_add(1);
+  wake_.notify_all();
 }
 
 void StealScheduler::ExecuteTask(TaskDesc* task, MatchWorkspace* ws,
@@ -157,12 +158,12 @@ void StealScheduler::ExecuteTask(TaskDesc* task, MatchWorkspace* ws,
       job->stop.store(true, std::memory_order_release);
     }
   }
-  live_tasks_.fetch_sub(1, std::memory_order_release);
-  job->pending.fetch_sub(1, std::memory_order_release);
+  // The job is not touched after its last pending decrement: the owner may
+  // reset it for the next graph as soon as it reads zero.
+  if (job->pending.fetch_sub(1, std::memory_order_release) == 1) Wake();
 }
 
 bool StealScheduler::TryHelp(uint32_t id, MatchWorkspace* ws) {
-  if (!CanHelp(id)) return false;
   const uint32_t n = num_executors();
   if (n <= 1) return false;
   ExecutorState& self = *executors_[id];
@@ -245,7 +246,6 @@ EnumerateResult StealScheduler::Enumerate(
   }
   job.done.assign(num_tasks, 0);
   job.pending.store(num_tasks, std::memory_order_relaxed);
-  live_tasks_.fetch_add(num_tasks, std::memory_order_release);
   self.counters.tasks_spawned += num_tasks;
 
   // Push in reverse so the owner's LIFO pop starts at seed 0 — the head of
@@ -254,17 +254,21 @@ EnumerateResult StealScheduler::Enumerate(
   for (uint32_t i = num_tasks; i-- > 0;) {
     self.deque.PushBottom(&job.tasks[i]);
   }
+  Wake();
 
   // Work until the job retires: own tasks LIFO, then steal — the owner
-  // helps other in-flight jobs rather than idling while thieves finish the
-  // tasks they took from us.
+  // helps other in-flight jobs — and block while thieves finish the tasks
+  // they took from us. The wake counter is read before looking for work,
+  // so a wake between the look and the wait is never lost.
   TaskDesc* task = nullptr;
   while (job.pending.load(std::memory_order_acquire) != 0) {
+    const uint32_t seen = wake_.load();
     if (self.deque.PopBottom(&task)) {
       ExecuteTask(task, ws, &self.counters);
-      continue;
+    } else if (!TryHelp(id, ws) &&
+               job.pending.load(std::memory_order_acquire) != 0) {
+      wake_.wait(seen);
     }
-    if (!TryHelp(id, ws)) std::this_thread::yield();
   }
 
   // Deterministic merge: seed order, truncated at the limit. Counters sum
@@ -312,6 +316,27 @@ EnumerateResult StealScheduler::Enumerate(
   // aborted subtree.
   total.aborted = any_aborted && taken < limit && !sink_stopped;
   return total;
+}
+
+void StealScheduler::BeginScan() {
+  scanning_.store(num_executors());
+}
+
+int64_t StealScheduler::FinishScan(uint32_t id, MatchWorkspace* ws) {
+  if (scanning_.fetch_sub(1) == 1) Wake();
+  // Only scanners seed jobs, and an owner leaves the scan only after its
+  // job retired, so once no executor is scanning no task is left anywhere.
+  int64_t nanos = 0;
+  for (;;) {
+    const uint32_t seen = wake_.load();
+    const WallTimer timer;
+    if (TryHelp(id, ws)) {
+      nanos += timer.ElapsedNanos();
+      continue;
+    }
+    if (scanning_.load() == 0) return nanos;
+    wake_.wait(seen);
+  }
 }
 
 StealCounters StealScheduler::DrainCounters() {

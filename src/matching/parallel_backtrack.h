@@ -14,8 +14,11 @@
 //   * Scheduling: the owner pushes its tasks onto its own Chase-Lev deque
 //     (util/work_stealing.h) and pops them LIFO; idle executors steal from
 //     the top of a randomized victim's deque. An owner whose deque drains
-//     before its job finishes steals too, so every executor stays busy until
-//     the job's last task retires.
+//     before its job finishes steals too.
+//   * Idling: an executor with nothing to steal blocks on a wake counter
+//     (std::atomic::wait) that is bumped when a job is seeded, when a job's
+//     last task retires and when the last scanner leaves the scan; it never
+//     spins.
 //   * Determinism: each task buffers its results per seed; the owner merges
 //     them in seed order once the job completes, truncating at `limit`.
 //     Because a seed's subtree is enumerated exactly as the serial search
@@ -33,8 +36,8 @@
 // Concurrency contract: one StealScheduler per engine; executor ids are
 // dense in [0, num_executors). At most one job per owner id at a time (an
 // owner seeds a job, works/steals until it completes, then may seed the
-// next). Enumerate/TryHelp may run concurrently on distinct ids;
-// DrainCounters requires quiescence (no job in flight).
+// next). Enumerate and FinishScan may run concurrently on distinct ids;
+// BeginScan and DrainCounters require quiescence (no job in flight).
 #ifndef SGQ_MATCHING_PARALLEL_BACKTRACK_H_
 #define SGQ_MATCHING_PARALLEL_BACKTRACK_H_
 
@@ -55,10 +58,6 @@ struct StealConfig {
   // [1, 64] — small enough to balance skewed subtree costs, large enough
   // that per-task setup (backward-neighbor rebuild) stays negligible.
   uint32_t chunk = 0;
-  // Cap on executors allowed to *steal* intra-query tasks (owners always
-  // run their own job). 0 = all executors. Lets a deployment bound how much
-  // of the pool one heavy query can draft.
-  uint32_t intra_threads = 0;
   // Minimum first-level candidate count before a job is split into tasks
   // at all; below it the serial path is cheaper. 0 = auto (32).
   uint32_t heavy_threshold = 0;
@@ -107,21 +106,15 @@ class StealScheduler {
                             const EmbeddingCallback& callback,
                             MatchWorkspace* ws);
 
-  // True when executor `id` may steal tasks (the intra_threads cap).
-  bool CanHelp(uint32_t id) const;
-
-  // Steal and execute one task from any other executor's deque, using `ws`
-  // as the enumeration scratch. Returns false when no task was found (or
-  // `id` is over the intra_threads cap). Drained scan workers loop on this
-  // until the whole query completes instead of exiting the parallel region.
-  bool TryHelp(uint32_t id, MatchWorkspace* ws);
-
-  // True while any seeded job still has unfinished tasks. Racy by nature;
-  // used with an owners-still-scanning count to build the parallel region's
-  // exit condition.
-  bool HasPendingTasks() const {
-    return live_tasks_.load(std::memory_order_acquire) > 0;
-  }
+  // The scan protocol of a parallel database scan whose executors may each
+  // own jobs. BeginScan() marks every executor as scanning; it runs before
+  // any executor starts. An executor whose share of the scan is done calls
+  // FinishScan(), which runs stolen tasks until every executor has finished
+  // scanning (no job can be seeded after that, and every seeded job has
+  // retired), blocking whenever there is nothing to steal. Returns the
+  // nanoseconds spent running stolen tasks.
+  void BeginScan();
+  int64_t FinishScan(uint32_t id, MatchWorkspace* ws);
 
   // Sums and clears the per-executor counters. Quiescent only (between
   // queries).
@@ -134,13 +127,23 @@ class StealScheduler {
 
   uint32_t EffectiveChunk(size_t num_roots) const;
 
+  // Steals and executes one task from any other executor's deque, using
+  // `ws` as the enumeration scratch. Returns false when no task was found.
+  bool TryHelp(uint32_t id, MatchWorkspace* ws);
+
   // Executes one task (skipping the enumeration if the job is already
   // stopped), publishes its seed result, and retires it from the job.
   void ExecuteTask(TaskDesc* task, MatchWorkspace* ws, StealCounters* acc);
 
+  // Bumps wake_ and wakes every executor blocked on it.
+  void Wake();
+
   StealConfig config_;
   std::vector<std::unique_ptr<ExecutorState>> executors_;
-  std::atomic<int64_t> live_tasks_{0};
+  // Executors that have not yet called FinishScan() since BeginScan().
+  std::atomic<uint32_t> scanning_{0};
+  // Wake counter for idle executors; its value means nothing, only change.
+  std::atomic<uint32_t> wake_{0};
 };
 
 }  // namespace sgq

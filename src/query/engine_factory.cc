@@ -108,127 +108,134 @@ CtIndexOptions CtOptionsFrom(const EngineConfig& config) {
   return o;
 }
 
+using EngineBuilder = std::unique_ptr<QueryEngine> (*)(
+    const std::string& name, const EngineConfig& config);
+
+// vcFV: matcher preprocessing filter + first-match enumeration.
+template <typename M>
+std::unique_ptr<QueryEngine> BuildVcfv(const std::string& name,
+                                       const EngineConfig&) {
+  return std::make_unique<VcfvEngine>(name, std::make_unique<M>());
+}
+
+struct EngineEntry {
+  const char* name;
+  EngineBuilder build;
+};
+
+// Every engine MakeEngine builds. The first kTableThreeEngines rows are the
+// paper's Table III, in paper order.
+constexpr size_t kTableThreeEngines = 8;
+constexpr EngineEntry kEngines[] = {
+    // IFV (Table III): index filter + VF2 verification.
+    {"CT-Index",
+     [](const std::string& name,
+        const EngineConfig& config) -> std::unique_ptr<QueryEngine> {
+       return std::make_unique<IfvEngine>(
+           name, std::make_unique<CtIndex>(CtOptionsFrom(config)),
+           Vf2Options{.heuristic_order = true});
+     }},
+    {"Grapes",
+     [](const std::string& name,
+        const EngineConfig& config) -> std::unique_ptr<QueryEngine> {
+       return std::make_unique<IfvEngine>(
+           name, std::make_unique<GrapesIndex>(GrapesOptionsFrom(config)));
+     }},
+    {"GGSX",
+     [](const std::string& name,
+        const EngineConfig& config) -> std::unique_ptr<QueryEngine> {
+       return std::make_unique<IfvEngine>(
+           name, std::make_unique<GgsxIndex>(GgsxOptionsFrom(config)));
+     }},
+    {"CFL", BuildVcfv<CflMatcher>},
+    {"GraphQL", BuildVcfv<GraphQlMatcher>},
+    {"CFQL", BuildVcfv<CfqlMatcher>},
+    // IvcFV: index filter + CFQL filter + CFQL verification.
+    {"vcGrapes",
+     [](const std::string& name,
+        const EngineConfig& config) -> std::unique_ptr<QueryEngine> {
+       return std::make_unique<IvcfvEngine>(
+           name, std::make_unique<GrapesIndex>(GrapesOptionsFrom(config)),
+           std::make_unique<CfqlMatcher>());
+     }},
+    {"vcGGSX",
+     [](const std::string& name,
+        const EngineConfig& config) -> std::unique_ptr<QueryEngine> {
+       return std::make_unique<IvcfvEngine>(
+           name, std::make_unique<GgsxIndex>(GgsxOptionsFrom(config)),
+           std::make_unique<CfqlMatcher>());
+     }},
+    // Extensions beyond the paper's Table III. The remaining index
+    // families of its Table II: gIndex-style mining and GraphGrep [30],
+    // the original hash-table path index.
+    {"MinedPath",
+     [](const std::string& name,
+        const EngineConfig& config) -> std::unique_ptr<QueryEngine> {
+       MinedPathOptions options;
+       options.max_path_edges = config.max_path_edges;
+       options.memory_limit_bytes = config.index_memory_limit_bytes;
+       return std::make_unique<IfvEngine>(
+           name, std::make_unique<MinedPathIndex>(options));
+     }},
+    {"GraphGrep",
+     [](const std::string& name,
+        const EngineConfig& config) -> std::unique_ptr<QueryEngine> {
+       GraphGrepOptions options;
+       options.max_path_edges = config.max_path_edges;
+       options.memory_limit_bytes = config.index_memory_limit_bytes;
+       return std::make_unique<IfvEngine>(
+           name, std::make_unique<GraphGrepIndex>(options));
+     }},
+    // TurboIso as a third vcFV algorithm (the paper names it as equally
+    // modifiable), and the direct-enumeration algorithms as vcFV-style
+    // scans for comparison.
+    {"TurboIso", BuildVcfv<TurboIsoMatcher>},
+    {"Ullmann", BuildVcfv<UllmannMatcher>},
+    {"QuickSI", BuildVcfv<QuickSiMatcher>},
+    {"SPath", BuildVcfv<SPathMatcher>},
+    {"CFQL-parallel",
+     [](const std::string&,
+        const EngineConfig& config) -> std::unique_ptr<QueryEngine> {
+       return std::make_unique<ParallelVcfvEngine>(config.parallel_threads);
+     }},
+    {"VF2-scan",
+     [](const std::string&, const EngineConfig&)
+         -> std::unique_ptr<QueryEngine> {
+       return std::make_unique<Vf2ScanEngine>();
+     }},
+};
+
+const EngineEntry* FindEngine(const std::string& name) {
+  for (const EngineEntry& entry : kEngines) {
+    if (name == entry.name) return &entry;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::unique_ptr<QueryEngine> MakeEngine(const std::string& name,
                                         const EngineConfig& config) {
-  // IFV (Table III): index filter + VF2 verification.
-  if (name == "CT-Index") {
-    return std::make_unique<IfvEngine>(
-        name, std::make_unique<CtIndex>(CtOptionsFrom(config)),
-        Vf2Options{.heuristic_order = true});
+  const EngineEntry* entry = FindEngine(name);
+  if (entry == nullptr) {
+    SGQ_LOG(Fatal) << "unknown engine: " << name;
+    return nullptr;
   }
-  if (name == "Grapes") {
-    return std::make_unique<IfvEngine>(
-        name, std::make_unique<GrapesIndex>(GrapesOptionsFrom(config)));
-  }
-  if (name == "GGSX") {
-    return std::make_unique<IfvEngine>(
-        name, std::make_unique<GgsxIndex>(GgsxOptionsFrom(config)));
-  }
-  // Extension: gIndex-style mining-based path index.
-  if (name == "MinedPath") {
-    MinedPathOptions options;
-    options.max_path_edges = config.max_path_edges;
-    options.memory_limit_bytes = config.index_memory_limit_bytes;
-    return std::make_unique<IfvEngine>(
-        name, std::make_unique<MinedPathIndex>(options));
-  }
-  // Extension: GraphGrep [30], the original hash-table path index.
-  if (name == "GraphGrep") {
-    GraphGrepOptions options;
-    options.max_path_edges = config.max_path_edges;
-    options.memory_limit_bytes = config.index_memory_limit_bytes;
-    return std::make_unique<IfvEngine>(
-        name, std::make_unique<GraphGrepIndex>(options));
-  }
-  // vcFV: matcher preprocessing filter + first-match enumeration.
-  if (name == "CFL") {
-    return std::make_unique<VcfvEngine>(name, std::make_unique<CflMatcher>());
-  }
-  if (name == "GraphQL") {
-    return std::make_unique<VcfvEngine>(name,
-                                        std::make_unique<GraphQlMatcher>());
-  }
-  if (name == "CFQL") {
-    return std::make_unique<VcfvEngine>(name,
-                                        std::make_unique<CfqlMatcher>());
-  }
-  // IvcFV: index filter + CFQL filter + CFQL verification.
-  if (name == "vcGrapes") {
-    return std::make_unique<IvcfvEngine>(
-        name, std::make_unique<GrapesIndex>(GrapesOptionsFrom(config)),
-        std::make_unique<CfqlMatcher>());
-  }
-  if (name == "vcGGSX") {
-    return std::make_unique<IvcfvEngine>(
-        name, std::make_unique<GgsxIndex>(GgsxOptionsFrom(config)),
-        std::make_unique<CfqlMatcher>());
-  }
-  // Extensions beyond the paper's Table III: TurboIso as a third vcFV
-  // algorithm (the paper names it as equally modifiable), and the
-  // direct-enumeration algorithms as vcFV-style scans for comparison.
-  if (name == "TurboIso") {
-    return std::make_unique<VcfvEngine>(name,
-                                        std::make_unique<TurboIsoMatcher>());
-  }
-  if (name == "Ullmann") {
-    return std::make_unique<VcfvEngine>(name,
-                                        std::make_unique<UllmannMatcher>());
-  }
-  if (name == "QuickSI") {
-    return std::make_unique<VcfvEngine>(name,
-                                        std::make_unique<QuickSiMatcher>());
-  }
-  if (name == "SPath") {
-    return std::make_unique<VcfvEngine>(name,
-                                        std::make_unique<SPathMatcher>());
-  }
-  if (name == "CFQL-parallel") {
-    return std::make_unique<ParallelVcfvEngine>(
-        name, [] { return std::make_unique<CfqlMatcher>(); },
-        config.parallel_threads, config.parallel_chunk);
-  }
-  // CFQL is the matcher contract intra mode depends on: its Enumerate() is
-  // JoinBasedOrder + BacktrackOverCandidates, which the steal scheduler
-  // reproduces task-by-task.
-  if (name == "CFQL-parallel-intra") {
-    IntraQueryConfig intra;
-    intra.enabled = true;
-    intra.steal_chunk = config.steal_chunk;
-    intra.intra_threads = config.intra_threads;
-    intra.heavy_threshold = config.intra_heavy_threshold;
-    return std::make_unique<ParallelVcfvEngine>(
-        name, [] { return std::make_unique<CfqlMatcher>(); },
-        config.parallel_threads, config.parallel_chunk, intra);
-  }
-  if (name == "VF2-scan") {
-    return std::make_unique<Vf2ScanEngine>();
-  }
-  SGQ_LOG(Fatal) << "unknown engine: " << name;
-  return nullptr;
+  return entry->build(name, config);
 }
 
 bool IsKnownEngine(const std::string& name) {
-  static const std::vector<std::string>& kExtensions =
-      *new std::vector<std::string>{"MinedPath", "GraphGrep", "TurboIso",
-                                    "Ullmann",   "QuickSI",   "SPath",
-                                    "CFQL-parallel", "CFQL-parallel-intra",
-                                    "VF2-scan"};
-  for (const std::string& n : AllEngineNames()) {
-    if (n == name) return true;
-  }
-  for (const std::string& n : kExtensions) {
-    if (n == name) return true;
-  }
-  return false;
+  return FindEngine(name) != nullptr;
 }
 
 const std::vector<std::string>& AllEngineNames() {
-  static const std::vector<std::string>& kNames =
-      *new std::vector<std::string>{"CT-Index", "Grapes",  "GGSX",
-                                    "CFL",      "GraphQL", "CFQL",
-                                    "vcGrapes", "vcGGSX"};
+  static const std::vector<std::string>& kNames = *[] {
+    auto* names = new std::vector<std::string>;
+    for (size_t i = 0; i < kTableThreeEngines; ++i) {
+      names->push_back(kEngines[i].name);
+    }
+    return names;
+  }();
   return kNames;
 }
 

@@ -6,28 +6,34 @@
 //
 // Concurrency substrate: the engine owns a persistent ThreadPool (created
 // once, reused by every Query) plus one worker slot per executor — the pool
-// threads and the calling thread, which ParallelFor drafts into the chunk
-// loop instead of letting it sleep. Each slot holds a Matcher instance and a
-// MatchWorkspace. Work is handed out in chunks of `chunk_size` graphs per
-// atomic operation (ThreadPool::ParallelFor), and the workspace recycles
-// candidate-set/CPI/enumeration buffers across all graphs a slot processes —
-// the two fixed costs a per-query thread spawn used to re-pay.
+// threads and the calling thread, which scans too instead of sleeping. Each
+// slot holds a CfqlMatcher and a MatchWorkspace; the workspace recycles
+// candidate-set/CPI/enumeration buffers across all graphs a slot processes.
+// Executors claim `chunk_size` consecutive graphs per atomic operation.
 //
-// Time accounting: filtering_ms / verification_ms are the summed per-slot
-// phase nanos divided by the executor count — a parallel wall-clock estimate
-// comparable with the serial engines (see the convention in query/stats.h).
+// Work stealing is built in: a graph whose first-level candidate set
+// reaches StealConfig::heavy_threshold (auto 32) is enumerated through the
+// engine's StealScheduler, so one heavy graph does not pin its executor
+// while the rest of the pool idles. An executor whose share of the scan is
+// done steals those tasks, and blocks when there is nothing to steal. The
+// split reproduces CFQL's own Enumerate() (JoinBasedOrder +
+// BacktrackOverCandidates) task by task, which is why the engine holds
+// CfqlMatcher by type: answers, num_candidates and si_tests equal serial
+// CFQL at any thread count, chunk size and threshold.
+//
+// Time accounting: the parallel region is timed once; QueryMs() is that
+// wall time, split between filtering_ms and verification_ms in the ratio of
+// the summed per-slot phase nanos (see the convention in query/stats.h).
 //
 // Query() is not reentrant: one Query at a time per engine (the worker
-// slots and the pool are shared state).
+// slots, the pool and the scheduler are shared state).
 #ifndef SGQ_QUERY_PARALLEL_VCFV_ENGINE_H_
 #define SGQ_QUERY_PARALLEL_VCFV_ENGINE_H_
 
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "matching/matcher.h"
+#include "matching/cfql.h"
 #include "matching/parallel_backtrack.h"
 #include "matching/workspace.h"
 #include "query/query_engine.h"
@@ -35,84 +41,47 @@
 
 namespace sgq {
 
-// Intra-query parallelism knobs. When enabled, a heavy enumeration (one
-// whose first-level candidate set reaches heavy_threshold) is split into
-// steal-able tasks on a StealScheduler instead of pinning its executor, and
-// executors whose share of the graph scan drains join those tasks instead
-// of exiting the parallel region. Requires a matcher whose Enumerate() is
-// JoinBasedOrder + BacktrackOverCandidates (the GraphQL/CFQL family) — the
-// engine factory only wires intra mode for those. The SGQ_INTRA_STEAL
-// environment variable overrides: "on" enables with heavy_threshold=1 (every
-// verification runs through the scheduler — the determinism-stress setting),
-// "off" disables.
-struct IntraQueryConfig {
-  bool enabled = false;
-  uint32_t steal_chunk = 0;      // StealConfig::chunk (0 = auto)
-  uint32_t intra_threads = 0;    // StealConfig::intra_threads (0 = all)
-  uint32_t heavy_threshold = 0;  // StealConfig::heavy_threshold (0 = auto)
-};
-
 class ParallelVcfvEngine : public QueryEngine {
  public:
-  // `matcher_factory` is invoked once per worker slot when the engine is
-  // built; the instances (and their workspaces) persist across queries.
-  // `num_threads` defaults to the hardware concurrency; `chunk_size` is the
-  // number of graphs a worker claims per scheduling step (0 = pick
-  // automatically from the database size).
-  ParallelVcfvEngine(std::string name,
-                     std::function<std::unique_ptr<Matcher>()> matcher_factory,
-                     uint32_t num_threads = 0, uint32_t chunk_size = 0,
-                     IntraQueryConfig intra = {});
+  // `num_threads` pool threads (0 = hardware concurrency) plus the caller;
+  // `chunk_size` graphs per scheduling step (0 = pick automatically from
+  // the database size); `steal` tunes the split of heavy enumerations.
+  explicit ParallelVcfvEngine(uint32_t num_threads = 0,
+                              uint32_t chunk_size = 0,
+                              StealConfig steal = {});
 
-  const char* name() const override { return name_.c_str(); }
+  const char* name() const override { return "CFQL-parallel"; }
 
   bool Prepare(const GraphDatabase& db, Deadline deadline) override;
 
   QueryResult Query(const Graph& query, Deadline deadline) const override;
 
-  // Streaming scan: workers claim contiguous graph chunks and a chunk-order
-  // reassembly buffer emits each chunk's answers the moment every earlier
-  // chunk has been emitted, so the sink sees ascending ids identical to the
-  // (sorted) batch answers at any thread count. A sink stop cancels the
-  // remaining scan; result.answers is the emitted prefix.
+  // Streaming scan: a chunk-order reassembly buffer emits each chunk's
+  // answers the moment every earlier chunk has been emitted, so the sink
+  // sees ascending ids identical to the (sorted) batch answers at any
+  // thread count. A sink stop cancels the remaining scan; result.answers
+  // is the emitted prefix.
   QueryResult Query(const Graph& query, Deadline deadline,
                     ResultSink* sink) const override;
 
   size_t IndexMemoryBytes() const override { return 0; }
 
-  uint32_t num_threads() const { return pool_->num_threads(); }
-  uint32_t chunk_size() const { return chunk_size_; }
-  bool intra_enabled() const { return scheduler_ != nullptr; }
+  uint32_t num_threads() const { return pool_.num_threads(); }
 
  private:
   struct WorkerSlot {
-    std::unique_ptr<Matcher> matcher;
+    CfqlMatcher matcher;
     MatchWorkspace workspace;
   };
 
-  // The scan loop with intra-query stealing: heavy enumerations are split
-  // across the scheduler; drained executors help until the last one
-  // finishes its range.
-  QueryResult QueryIntra(const Graph& query, Deadline deadline) const;
-
-  // The streaming scan loop behind Query(..., sink): dynamic contiguous
-  // chunk hand-out + ordered chunk emission; uses the steal scheduler for
-  // heavy enumerations when intra mode is on.
-  QueryResult QueryStreaming(const Graph& query, Deadline deadline,
-                             ResultSink* sink) const;
-
-  std::string name_;
   uint32_t chunk_size_;
-  IntraQueryConfig intra_;
-  std::unique_ptr<ThreadPool> pool_;
-  // Present iff intra-query stealing is enabled; sized to the executor
-  // count (pool threads + caller).
-  std::unique_ptr<StealScheduler> scheduler_;
-  // One slot per executor (pool threads + the participating caller);
-  // ParallelFor guarantees a slot is driven by at most one thread at a
-  // time, so slots need no locks. Mutable because the
-  // workspaces accumulate reusable buffers across const Query() calls.
-  // unique_ptr because MatchWorkspace is neither copyable nor movable.
+  mutable ThreadPool pool_;
+  // Sized to the executor count (pool threads + caller).
+  mutable StealScheduler scheduler_;
+  // One slot per executor; executor i only ever drives slot i, so slots
+  // need no locks. Mutable because the workspaces accumulate reusable
+  // buffers across const Query() calls. unique_ptr because MatchWorkspace
+  // is neither copyable nor movable.
   mutable std::vector<std::unique_ptr<WorkerSlot>> slots_;
   const GraphDatabase* db_ = nullptr;
 };

@@ -21,14 +21,13 @@ namespace sgq {
 // SI tests, and filtering_ms is the scan's wall time minus verification_ms
 // — the index lookup (IvcFV), the label-count screen, every Filter() call
 // and the loop's own overhead, including handing answers to a streaming
-// sink. For parallel engines both are *parallel wall-clock estimates*:
-// per-slot nanos (verification, and the slot's scan wall time minus its
-// verification) summed, then divided by the executor count (the pool
-// threads plus the calling thread, which participates in the chunk loop),
-// i.e. the time the phase would occupy with perfect load balance. The two
-// therefore stay comparable across thread counts (a phase that sums to
-// 80 ms over 8 executors reports 10 ms), and QueryMs() approximates the
-// parallel region's wall time rather than the aggregate CPU time.
+// sink. The parallel engine times its parallel region once: QueryMs() is
+// that wall time, not the aggregate CPU time, and it is split between the
+// two phases in the ratio of the summed per-slot nanos (verification,
+// including stolen tasks, and each slot's scan wall time minus its
+// verification). So QueryMs() stays comparable with the serial engines at
+// any thread count and under any load imbalance; only the split is an
+// estimate.
 struct QueryStats {
   double filtering_ms = 0;     // scan wall time minus verification_ms
   double verification_ms = 0;  // SI tests over C(q)  (Equation 2)
@@ -52,10 +51,10 @@ struct QueryStats {
   uint64_t intersect_gallop = 0;
   uint64_t intersect_simd = 0;
   uint64_t local_candidates = 0;
-  // Intra-query work-stealing counters (zero unless the engine runs with
-  // intra-query parallelism): tasks seeded from first-level candidate
-  // chunks, tasks executed by a non-owner executor, and tasks cancelled by
-  // the stop flag or the deadline.
+  // Intra-query work-stealing counters (zero unless the parallel engine
+  // split an enumeration): tasks seeded from first-level candidate chunks,
+  // tasks executed by a non-owner executor, and tasks cancelled by the
+  // stop flag or the deadline.
   uint64_t tasks_spawned = 0;
   uint64_t tasks_stolen = 0;
   uint64_t tasks_aborted = 0;

@@ -231,11 +231,15 @@ void ScatterGather::Gather(std::vector<Exchange>* exchanges,
     if (ok) pool_.CheckIn(e.shard, std::move(e.connection));
     e.connection.reset();
   };
+  // Dialing never waits: a TCP handshake still in flight completes in the
+  // poll loop below, which sends the request then. So a shard that never
+  // answers its SYN costs its own reply the deadline, not the others'.
   const auto start = [&](Exchange& e,
                          std::unique_ptr<ShardConnection> connection) {
     e.connection = std::move(connection);
     return e.connection->Connect(&e.reply.error) &&
-           e.connection->Send(request, &e.reply.error);
+           (e.connection->connecting() ||
+            e.connection->Send(request, &e.reply.error));
   };
   // A reused pooled socket that failed before any reply byte arrived may
   // simply have gone stale (the shard restarted between requests); one
@@ -294,7 +298,10 @@ void ScatterGather::Gather(std::vector<Exchange>* exchanges,
     polled.clear();
     for (Exchange& e : *exchanges) {
       if (e.done) continue;
-      fds.push_back({e.connection->fd(), POLLIN, 0});
+      fds.push_back({e.connection->fd(),
+                     static_cast<short>(e.connection->connecting() ? POLLOUT
+                                                                   : POLLIN),
+                     0});
       polled.push_back(&e);
     }
     if (fds.empty()) break;
@@ -309,9 +316,11 @@ void ScatterGather::Gather(std::vector<Exchange>* exchanges,
       // The rest of a reply cut short here may still arrive later, so
       // these connections are dropped, never pooled.
       for (Exchange* e : polled) {
-        e->reply.error = e->connection->endpoint().ToString() +
-                         (remaining <= 0 ? ": shard read timed out"
-                                         : ": poll failed");
+        const char* what = remaining > 0 ? ": poll failed"
+                           : e->connection->connecting()
+                               ? ": connect timed out"
+                               : ": shard read timed out";
+        e->reply.error = e->connection->endpoint().ToString() + what;
         finish(*e, false);
       }
       continue;
@@ -320,6 +329,13 @@ void ScatterGather::Gather(std::vector<Exchange>* exchanges,
       // POLLHUP and POLLERR count too: the read reports EOF or the error.
       if (fds[i].revents == 0) continue;
       Exchange& e = *polled[i];
+      if (e.connection->connecting()) {
+        if (!e.connection->FinishConnect(&e.reply.error) ||
+            !e.connection->Send(request, &e.reply.error)) {
+          fail(e);
+        }
+        continue;
+      }
       if (!e.connection->ReadAvailable(&e.reply.error)) {
         fail(e);
         continue;

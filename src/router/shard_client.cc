@@ -85,9 +85,20 @@ bool ShardConnection::Connect(std::string* error) {
   if (!endpoint_.unix_path.empty()) {
     fd_ = ConnectUnix(endpoint_.unix_path, error);
   } else {
-    fd_ = ConnectTcp(endpoint_.host, endpoint_.port, error);
+    fd_ = StartConnectTcp(endpoint_.host, endpoint_.port, &connecting_,
+                          error);
   }
   if (!fd_.valid()) {
+    *error = endpoint_.ToString() + ": " + *error;
+    return false;
+  }
+  return true;
+}
+
+bool ShardConnection::FinishConnect(std::string* error) {
+  connecting_ = false;
+  if (!FinishConnectTcp(fd_.get(), error)) {
+    fd_.Reset();
     *error = endpoint_.ToString() + ": " + *error;
     return false;
   }

@@ -55,8 +55,15 @@ class ShardConnection {
   explicit ShardConnection(ShardEndpoint endpoint)
       : endpoint_(std::move(endpoint)) {}
 
-  // Connects if not already connected. False + *error on failure.
+  // Connects if not already connected. A TCP handshake may still be in
+  // flight on return: connecting() is then true, and the caller polls fd()
+  // for POLLOUT and calls FinishConnect() before sending. False + *error
+  // on failure.
   bool Connect(std::string* error);
+  bool connecting() const { return connecting_; }
+  // Completes the handshake Connect() started. False + *error when it
+  // failed; the socket is closed then.
+  bool FinishConnect(std::string* error);
   bool connected() const { return fd_.valid(); }
   int fd() const { return fd_.get(); }
   // True when this object had a live connection before the current
@@ -89,6 +96,7 @@ class ShardConnection {
   size_t consumed_ = 0;
   size_t scanned_ = 0;
   bool reused_ = false;
+  bool connecting_ = false;
 };
 
 // Keeps idle connections per shard so consecutive requests reuse sockets.

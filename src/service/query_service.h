@@ -142,8 +142,8 @@ struct ServiceStatsSnapshot {
   // intersect_* fields of QueryStats).
   uint64_t intersect_calls_total = 0;
   uint64_t local_candidates_total = 0;
-  // Intra-query work-stealing totals (zero unless the engine runs with
-  // intra-query parallelism; see the tasks_* fields of QueryStats).
+  // Intra-query work-stealing totals (zero unless the parallel engine
+  // split an enumeration; see the tasks_* fields of QueryStats).
   uint64_t tasks_spawned_total = 0;
   uint64_t tasks_stolen_total = 0;
   uint64_t tasks_aborted_total = 0;

@@ -1,6 +1,7 @@
 #include "util/socket.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
@@ -130,21 +131,62 @@ UniqueFd ConnectUnix(const std::string& path, std::string* error) {
   return fd;
 }
 
-UniqueFd ConnectTcp(const std::string& host, uint16_t port,
-                    std::string* error) {
+UniqueFd StartConnectTcp(const std::string& host, uint16_t port,
+                         bool* in_progress, std::string* error) {
   sockaddr_in addr;
   if (!FillTcpAddr(host, port, &addr, error)) return UniqueFd();
-  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
   if (!fd.valid()) {
     *error = Errno("socket");
     return UniqueFd();
   }
+  *in_progress = false;
   if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    *error = Errno("connect " + host + ":" + std::to_string(port));
-    return UniqueFd();
+    if (errno != EINPROGRESS && errno != EINTR) {
+      *error = Errno("connect " + host + ":" + std::to_string(port));
+      return UniqueFd();
+    }
+    *in_progress = true;
+    return fd;
   }
-  SetNoDelay(fd.get());
+  if (!FinishConnectTcp(fd.get(), error)) return UniqueFd();
+  return fd;
+}
+
+bool FinishConnectTcp(int fd, std::string* error) {
+  int so_error = 0;
+  socklen_t len = sizeof(so_error);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
+    *error = Errno("getsockopt");
+    return false;
+  }
+  if (so_error != 0) {
+    *error = std::string("connect: ") + std::strerror(so_error);
+    return false;
+  }
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) != 0) {
+    *error = Errno("fcntl");
+    return false;
+  }
+  SetNoDelay(fd);
+  return true;
+}
+
+UniqueFd ConnectTcp(const std::string& host, uint16_t port,
+                    std::string* error) {
+  bool in_progress = false;
+  UniqueFd fd = StartConnectTcp(host, port, &in_progress, error);
+  if (!in_progress) return fd;
+  pollfd p{fd.get(), POLLOUT, 0};
+  while (::poll(&p, 1, -1) < 0) {
+    if (errno != EINTR) {
+      *error = Errno("poll");
+      return UniqueFd();
+    }
+  }
+  if (!FinishConnectTcp(fd.get(), error)) return UniqueFd();
   return fd;
 }
 

@@ -61,6 +61,17 @@ UniqueFd ConnectUnix(const std::string& path, std::string* error);
 UniqueFd ConnectTcp(const std::string& host, uint16_t port,
                     std::string* error);
 
+// ConnectTcp in two halves, for callers that must not wait on one
+// handshake: a peer that never completes it would hold a blocking
+// connect(2) for the kernel's SYN retries, about two minutes.
+// StartConnectTcp never waits: when the handshake is still in flight it
+// sets *in_progress, and the caller polls the socket for POLLOUT, up to its
+// own deadline, then calls FinishConnectTcp, which reads the outcome and
+// puts the socket in blocking mode.
+UniqueFd StartConnectTcp(const std::string& host, uint16_t port,
+                         bool* in_progress, std::string* error);
+bool FinishConnectTcp(int fd, std::string* error);
+
 // Accepts one connection; -1-valued UniqueFd on error (EINTR retried).
 UniqueFd AcceptConnection(int listener_fd);
 

@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace sgq {
 
@@ -55,32 +54,6 @@ void ThreadPool::WorkerLoop() {
       if (--in_flight_ == 0) idle_cv_.notify_all();
     }
   }
-}
-
-void ThreadPool::ParallelFor(
-    size_t n, size_t chunk,
-    const std::function<void(size_t, size_t, uint32_t)>& body) {
-  if (n == 0) return;
-  if (chunk == 0) chunk = 1;
-  std::atomic<size_t> next{0};
-  const auto drain = [&](uint32_t slot) {
-    for (;;) {
-      const size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      body(begin, std::min(begin + chunk, n), slot);
-    }
-  };
-  // One task per worker slot; a task loops until the range is exhausted. A
-  // slow worker may leave its task to be picked up late by a faster one, but
-  // each slot's task is still a single sequential execution.
-  for (uint32_t slot = 0; slot < num_threads(); ++slot) {
-    Submit([&drain, slot] { drain(slot); });
-  }
-  // The caller works too (slot num_threads()) instead of sleeping until the
-  // workers are done — on a loaded or single-core machine it would otherwise
-  // spend the whole range context-switching in Wait().
-  drain(num_threads());
-  Wait();
 }
 
 size_t ThreadPool::DefaultChunk(size_t n, uint32_t num_threads) {

@@ -4,17 +4,11 @@
 // every Query() call; at the paper's per-query costs (milliseconds) the spawn
 // overhead is a measurable constant factor. A ThreadPool is created once,
 // lives as long as its owner (an engine, a bench driver), and serves any
-// number of ParallelFor/Submit rounds.
+// number of Submit/Wait rounds.
 //
-// Scheduling: ParallelFor hands out *chunks* of `chunk` consecutive indices
-// per atomic fetch_add instead of one index at a time, so workers touch the
-// shared counter O(n / chunk) times. Work inside a chunk runs in index order,
-// which keeps per-graph processing deterministic regardless of the thread
-// count (answers are combined per slot and sorted by the caller).
-//
-// Concurrency contract: one client drives the pool at a time (Submit/Wait and
-// ParallelFor are not reentrant from multiple client threads). Workers only
-// ever execute tasks; they never call back into the pool.
+// Concurrency contract: one client drives the pool at a time (Submit/Wait
+// are not reentrant from multiple client threads). Workers only ever execute
+// tasks; they never call back into the pool.
 #ifndef SGQ_UTIL_THREAD_POOL_H_
 #define SGQ_UTIL_THREAD_POOL_H_
 
@@ -50,24 +44,11 @@ class ThreadPool {
   // Blocks until every task submitted so far has finished.
   void Wait();
 
-  // Chunked dynamic parallel-for over [0, n): executors repeatedly grab
-  // `chunk` consecutive indices (one fetch_add each) and run
-  // body(begin, end, slot) with begin < end <= n. The calling thread
-  // participates: instead of sleeping until the workers finish, it loops on
-  // the same counter under slot id num_threads(). `slot` therefore ranges
-  // over [0, num_threads()] — num_threads() + 1 slots — and a slot's
-  // invocations never overlap in time, so per-slot state (a matcher, a
-  // workspace, an accumulator) needs no synchronization. Blocks until the
-  // whole range is processed. `chunk == 0` is treated as 1.
-  void ParallelFor(
-      size_t n, size_t chunk,
-      const std::function<void(size_t begin, size_t end, uint32_t slot)>&
-          body);
-
-  // A chunk size that targets ~8 hand-outs per executor: small enough to
-  // balance skewed per-item costs, large enough to keep the shared counter
-  // cold. Always >= 1. Pass the executor count (num_threads() + 1 when the
-  // range runs through ParallelFor, which includes the caller).
+  // For loops that hand out `chunk` consecutive indices of [0, n) per
+  // atomic fetch_add: a chunk size that targets ~8 hand-outs per executor,
+  // small enough to balance skewed per-item costs, large enough to keep the
+  // shared counter cold. Always >= 1, at most 64. Pass the executor count
+  // (num_threads() + 1 when the calling thread works too).
   static size_t DefaultChunk(size_t n, uint32_t num_threads);
 
  private:

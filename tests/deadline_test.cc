@@ -6,8 +6,8 @@
 // clock every 1024 ticks).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -18,8 +18,10 @@
 #include "matching/workspace.h"
 #include "query/engine_factory.h"
 #include "query/match_engine.h"
+#include "query/parallel_vcfv_engine.h"
 #include "tests/test_util.h"
 #include "util/deadline.h"
+#include "util/timer.h"
 
 namespace sgq {
 namespace {
@@ -105,12 +107,16 @@ TEST(DeadlineTest, DeadlineExpiringInsideAScreenedStretchTimesOut) {
   for (int i = 0; i < 50000; ++i) db.Add(lone);
   const Graph query = ::sgq::testing::MakePath({0, 1});
 
-  for (const char* name : {"CFL", "GraphQL", "CFQL", "TurboIso",
-                           "CFQL-parallel", "CFQL-parallel-intra"}) {
-    SCOPED_TRACE(name);
-    EngineConfig config;
-    config.parallel_threads = 2;
-    auto engine = MakeEngine(name, config);
+  std::vector<std::unique_ptr<QueryEngine>> engines;
+  for (const char* name : {"CFL", "GraphQL", "CFQL", "TurboIso"}) {
+    engines.push_back(MakeEngine(name));
+  }
+  engines.push_back(std::make_unique<ParallelVcfvEngine>(2));
+  // Every verification through the steal scheduler.
+  engines.push_back(std::make_unique<ParallelVcfvEngine>(
+      2, 0, StealConfig{.heavy_threshold = 1}));
+  for (const auto& engine : engines) {
+    SCOPED_TRACE(engine->name());
     ASSERT_TRUE(engine->Prepare(db, Deadline::Infinite()));
     const QueryResult full = engine->Query(query, Deadline::Infinite());
     EXPECT_FALSE(full.stats.timed_out);
@@ -165,19 +171,40 @@ TEST(DeadlineTest, DeadlineExpiringInsideWordKernelEnumerationAborts) {
   StealConfig config;
   config.chunk = 4;
   StealScheduler sched(2, config);
-  std::atomic<bool> done{false};
-  std::thread helper([&sched, &done] {
+  sched.BeginScan();
+  std::thread helper([&sched] {
     MatchWorkspace helper_ws;
-    while (!done.load(std::memory_order_acquire)) {
-      if (!sched.TryHelp(1, &helper_ws)) std::this_thread::yield();
-    }
+    sched.FinishScan(1, &helper_ws);
   });
   const EnumerateResult stolen = sched.Enumerate(
       0, query, data, phi, order, std::numeric_limits<uint64_t>::max(),
       Deadline::AfterSeconds(0.02), nullptr, &ws);
-  done.store(true, std::memory_order_release);
+  sched.FinishScan(0, &ws);
   helper.join();
   EXPECT_TRUE(stolen.aborted);
+}
+
+// The same through the parallel engine, whose scheduler splits the search:
+// an odd cycle in K20,20 has no embedding, and the exhaustive search for a
+// 9-cycle would take hours, so the query must end timed out shortly after
+// its 50 ms budget.
+TEST(DeadlineTest, DeadlineExpiringInsideASplitEnumerationTimesOut) {
+  GraphDatabase db;
+  db.Add(::sgq::testing::MakeCompleteBipartite(20, 20, 0));
+  const Graph query =
+      ::sgq::testing::MakeCycle({0, 0, 0, 0, 0, 0, 0, 0, 0});
+  ParallelVcfvEngine engine(2, 0, StealConfig{.heavy_threshold = 1});
+  ASSERT_TRUE(engine.Prepare(db, Deadline::Infinite()));
+  AcceptAllSink sink;
+  for (ResultSink* s : {static_cast<ResultSink*>(nullptr),
+                        static_cast<ResultSink*>(&sink)}) {
+    const WallTimer timer;
+    const QueryResult r = engine.Query(query, Deadline::AfterSeconds(0.05), s);
+    EXPECT_TRUE(r.stats.timed_out);
+    EXPECT_TRUE(r.answers.empty());
+    EXPECT_GT(r.stats.tasks_spawned, 0u);
+    EXPECT_LT(timer.ElapsedSeconds(), 5.0);
+  }
 }
 
 TEST(DeadlineTest, ExpiredPrepareStillFailsForIndexEngines) {

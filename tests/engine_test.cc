@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <memory>
 #include <numeric>
 
 #include "gen/dataset_profiles.h"
@@ -21,6 +23,7 @@
 #include "matching/matcher.h"
 #include "matching/workspace.h"
 #include "query/match_engine.h"
+#include "query/parallel_vcfv_engine.h"
 #include "query/stats.h"
 #include "tests/test_util.h"
 #include "util/intersect.h"
@@ -453,26 +456,22 @@ class LimitSink : public ResultSink {
 TEST(ScreenedScanTest, EveryScanEngineEqualsOracleInBatchStreamAndLimit) {
   struct Spec {
     std::string label;
-    std::string name;
-    EngineConfig config;
+    std::function<std::unique_ptr<QueryEngine>()> make;
   };
-  std::vector<Spec> specs = {{"CFL", "CFL", {}},
-                             {"GraphQL", "GraphQL", {}},
-                             {"CFQL", "CFQL", {}},
-                             {"vcGrapes", "vcGrapes", {}},
-                             {"vcGGSX", "vcGGSX", {}}};
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    EngineConfig config;
-    config.parallel_threads = threads;
-    config.parallel_chunk = 3;
-    specs.push_back({"CFQL-parallel/" + std::to_string(threads),
-                     "CFQL-parallel", config});
+  std::vector<Spec> specs;
+  for (const char* name : {"CFL", "GraphQL", "CFQL", "vcGrapes", "vcGGSX"}) {
+    specs.push_back({name, [name] { return MakeEngine(name); }});
   }
-  EngineConfig intra;
-  intra.parallel_threads = 4;
-  intra.parallel_chunk = 3;
-  intra.intra_heavy_threshold = 1;  // every verification through stealing
-  specs.push_back({"CFQL-parallel-intra", "CFQL-parallel-intra", intra});
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    specs.push_back({"CFQL-parallel/" + std::to_string(threads), [threads] {
+                       return std::make_unique<ParallelVcfvEngine>(threads, 3);
+                     }});
+  }
+  // Every verification through the steal scheduler.
+  specs.push_back({"CFQL-parallel/split", [] {
+                     return std::make_unique<ParallelVcfvEngine>(
+                         4, 3, StealConfig{.heavy_threshold = 1});
+                   }});
 
   for (const ScreenDatabase& sdb : ScreenDatabases()) {
     if (sdb.name == "AIDS") continue;  // the property test covers it
@@ -508,11 +507,11 @@ TEST(ScreenedScanTest, EveryScanEngineEqualsOracleInBatchStreamAndLimit) {
     // LIMIT 1 and 2 must actually cut some answer lists short.
     EXPECT_GT(multi_answer_queries, 0u) << sdb.name;
     for (const Spec& spec : specs) {
-      auto engine = MakeEngine(spec.name, spec.config);
+      auto engine = spec.make();
       ASSERT_TRUE(engine->Prepare(sdb.db, Deadline::Infinite()));
+      const std::string name = engine->name();
       const std::string scan =
-          spec.name == "vcGrapes" || spec.name == "vcGGSX" ? spec.name
-                                                           : "scan";
+          name == "vcGrapes" || name == "vcGGSX" ? name : "scan";
       for (size_t i = 0; i < queries.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << sdb.name << " " << spec.label
                                           << " query " << i);

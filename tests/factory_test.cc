@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tests/test_util.h"
 
 namespace sgq {
@@ -26,10 +28,14 @@ TEST(EngineFactoryTest, EveryAdvertisedEngineConstructs) {
        {"CT-Index", "Grapes", "GGSX", "CFL", "GraphQL", "CFQL", "vcGrapes",
         "vcGGSX", "VF2-scan", "TurboIso", "Ullmann", "QuickSI", "SPath",
         "GraphGrep", "MinedPath", "CFQL-parallel"}) {
+    EXPECT_TRUE(IsKnownEngine(name)) << name;
     auto engine = MakeEngine(name);
     ASSERT_NE(engine, nullptr) << name;
     EXPECT_STREQ(engine->name(), name);
   }
+  // Stealing is built into CFQL-parallel; the twin engine is gone.
+  EXPECT_FALSE(IsKnownEngine(std::string("CFQL-parallel") + "-intra"));
+  EXPECT_FALSE(IsKnownEngine("NoSuchEngine"));
 }
 
 TEST(EngineFactoryDeathTest, UnknownNameAborts) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -14,7 +13,6 @@
 #include "gen/graph_gen.h"
 #include "gen/query_gen.h"
 #include "matching/cfl.h"
-#include "matching/cfql.h"
 #include "matching/matcher.h"
 #include "matching/parallel_backtrack.h"
 #include "matching/workspace.h"
@@ -63,9 +61,7 @@ TEST(ParallelDeterminismTest, MatchesSerialAcrossThreadAndChunkCounts) {
 
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     for (uint32_t chunk : {0u, 1u, 3u, 17u, 1000u}) {
-      ParallelVcfvEngine parallel(
-          "CFQL-parallel", [] { return std::make_unique<CfqlMatcher>(); },
-          threads, chunk);
+      ParallelVcfvEngine parallel(threads, chunk);
       ASSERT_TRUE(parallel.Prepare(db, Deadline::Infinite()));
       for (size_t i = 0; i < queries.size(); ++i) {
         const QueryResult actual =
@@ -92,8 +88,7 @@ TEST(ParallelDeterminismTest, RepeatedQueriesOnOneEngineAreStable) {
   // reproduce the cold-run results.
   const GraphDatabase db = MakeDb(5, 48);
   const std::vector<Graph> queries = MakeQueries(db, 4, 31);
-  ParallelVcfvEngine engine(
-      "CFQL-parallel", [] { return std::make_unique<CfqlMatcher>(); }, 4, 5);
+  ParallelVcfvEngine engine(4, 5);
   ASSERT_TRUE(engine.Prepare(db, Deadline::Infinite()));
 
   std::vector<QueryResult> first;
@@ -133,8 +128,7 @@ TEST(ParallelDeterminismTest, KernelsAgreeUnderParallelism) {
                                Config{&padded, true, "lists"},
                                Config{&padded, false, "lists-scalar"}}) {
     SetIntersectSimdEnabled(config.simd);
-    ParallelVcfvEngine parallel(
-        "CFQL-parallel", [] { return std::make_unique<CfqlMatcher>(); }, 4, 3);
+    ParallelVcfvEngine parallel(4, 3);
     ASSERT_TRUE(parallel.Prepare(*config.db, Deadline::Infinite()));
     for (size_t i = 0; i < queries.size(); ++i) {
       const QueryResult actual =
@@ -153,8 +147,7 @@ TEST(ParallelDeterminismTest, KernelsAgreeUnderParallelism) {
 TEST(ParallelDeterminismTest, WorkspaceHitRateClimbsAfterWarmup) {
   const GraphDatabase db = MakeDb(7, 64);
   const std::vector<Graph> queries = MakeQueries(db, 3, 13);
-  ParallelVcfvEngine engine(
-      "CFQL-parallel", [] { return std::make_unique<CfqlMatcher>(); }, 4);
+  ParallelVcfvEngine engine(4);
   ASSERT_TRUE(engine.Prepare(db, Deadline::Infinite()));
 
   // A slot allocates at most once over the engine's lifetime (its first
@@ -182,9 +175,10 @@ TEST(ParallelDeterminismTest, WorkspaceHitRateClimbsAfterWarmup) {
 }
 
 // A 61-label database where the label-count screen rejects most
-// (query, graph) pairs before Filter(): every parallel scan mode (batch,
-// streaming, intra) must screen the same graphs as the serial engine and so
-// report the same candidates and SI tests.
+// (query, graph) pairs before Filter(): the parallel scan, batch and
+// streaming, with the automatic split threshold and with every enumeration
+// split, must screen the same graphs as the serial engine and so report the
+// same candidates and SI tests.
 TEST(ParallelDeterminismTest, ScreenedScanMatchesSerialInEveryMode) {
   SyntheticParams params;
   params.num_graphs = 90;
@@ -218,19 +212,16 @@ TEST(ParallelDeterminismTest, ScreenedScanMatchesSerialInEveryMode) {
     std::vector<GraphId> ids;
   };
 
-  for (bool intra_on : {false, true}) {
+  for (uint32_t heavy_threshold : {0u, 1u}) {
     for (uint32_t threads : {1u, 2u, 4u}) {
       for (uint32_t chunk : {1u, 7u, 0u}) {
-        IntraQueryConfig intra;
-        intra.enabled = intra_on;
-        intra.heavy_threshold = 1;
         ParallelVcfvEngine parallel(
-            "CFQL-parallel", [] { return std::make_unique<CfqlMatcher>(); },
-            threads, chunk, intra);
+            threads, chunk, StealConfig{.heavy_threshold = heavy_threshold});
         ASSERT_TRUE(parallel.Prepare(db, Deadline::Infinite()));
         for (size_t i = 0; i < queries.size(); ++i) {
           SCOPED_TRACE(::testing::Message()
-                       << "intra=" << intra_on << " threads=" << threads
+                       << "heavy_threshold=" << heavy_threshold
+                       << " threads=" << threads
                        << " chunk=" << chunk << " query=" << i);
           const QueryResult batch =
               parallel.Query(queries[i], Deadline::Infinite());
@@ -255,7 +246,7 @@ TEST(ParallelDeterminismTest, ScreenedScanMatchesSerialInEveryMode) {
   }
 }
 
-// ---- intra-query stealing (this PR's tentpole) -----------------------------
+// ---- intra-query stealing --------------------------------------------------
 
 TEST(ParallelDeterminismTest, IntraStealingMatchesSerialAcrossKnobs) {
   // heavy_threshold=1 routes EVERY enumeration through the StealScheduler,
@@ -271,14 +262,9 @@ TEST(ParallelDeterminismTest, IntraStealingMatchesSerialAcrossKnobs) {
 
   for (uint32_t threads : {1u, 2u, 4u}) {
     for (uint32_t steal_chunk : {1u, 3u, 16u}) {
-      IntraQueryConfig intra;
-      intra.enabled = true;
-      intra.steal_chunk = steal_chunk;
-      intra.heavy_threshold = 1;
       ParallelVcfvEngine parallel(
-          "CFQL-parallel-intra", [] { return std::make_unique<CfqlMatcher>(); },
-          threads, /*chunk_size=*/3, intra);
-      ASSERT_TRUE(parallel.intra_enabled());
+          threads, /*chunk_size=*/3,
+          StealConfig{.chunk = steal_chunk, .heavy_threshold = 1});
       ASSERT_TRUE(parallel.Prepare(db, Deadline::Infinite()));
       for (size_t i = 0; i < queries.size(); ++i) {
         const QueryResult actual =
@@ -316,13 +302,8 @@ TEST(ParallelDeterminismTest, IntraStealingKernelsAgree) {
                                Config{&padded, true, "lists"},
                                Config{&padded, false, "lists-scalar"}}) {
     SetIntersectSimdEnabled(config.simd);
-    IntraQueryConfig intra;
-    intra.enabled = true;
-    intra.steal_chunk = 2;
-    intra.heavy_threshold = 1;
     ParallelVcfvEngine parallel(
-        "CFQL-parallel-intra", [] { return std::make_unique<CfqlMatcher>(); },
-        4, 3, intra);
+        4, 3, StealConfig{.chunk = 2, .heavy_threshold = 1});
     ASSERT_TRUE(parallel.Prepare(*config.db, Deadline::Infinite()));
     for (size_t i = 0; i < queries.size(); ++i) {
       const QueryResult actual =
@@ -382,14 +363,14 @@ TEST(ParallelDeterminismTest, StealSchedulerEmbeddingSequencesBitIdentical) {
         config.chunk = chunk;
         config.heavy_threshold = 1;
         StealScheduler sched(executors, config);
-        std::atomic<bool> done{false};
+        // Executor 0 owns the job; the others have no graphs to scan, so
+        // they steal until it finishes its scan.
+        sched.BeginScan();
         std::vector<std::thread> helpers;
         for (uint32_t t = 1; t < executors; ++t) {
-          helpers.emplace_back([&sched, &done, t] {
+          helpers.emplace_back([&sched, t] {
             MatchWorkspace helper_ws;
-            while (!done.load(std::memory_order_acquire)) {
-              if (!sched.TryHelp(t, &helper_ws)) std::this_thread::yield();
-            }
+            sched.FinishScan(t, &helper_ws);
           });
         }
         std::vector<VertexId> steal_flat;
@@ -401,7 +382,7 @@ TEST(ParallelDeterminismTest, StealSchedulerEmbeddingSequencesBitIdentical) {
               return true;
             },
             &owner_ws);
-        done.store(true, std::memory_order_release);
+        sched.FinishScan(0, &owner_ws);
         for (std::thread& h : helpers) h.join();
         EXPECT_EQ(stolen.embeddings, limit);
         EXPECT_FALSE(stolen.aborted);
@@ -456,14 +437,14 @@ TEST(ParallelDeterminismTest, StealSchedulerWordKernelMatchesSerial) {
         config.chunk = chunk;
         config.heavy_threshold = 1;
         StealScheduler sched(executors, config);
-        std::atomic<bool> done{false};
+        // Executor 0 owns the job; the others have no graphs to scan, so
+        // they steal until it finishes its scan.
+        sched.BeginScan();
         std::vector<std::thread> helpers;
         for (uint32_t t = 1; t < executors; ++t) {
-          helpers.emplace_back([&sched, &done, t] {
+          helpers.emplace_back([&sched, t] {
             MatchWorkspace helper_ws;
-            while (!done.load(std::memory_order_acquire)) {
-              if (!sched.TryHelp(t, &helper_ws)) std::this_thread::yield();
-            }
+            sched.FinishScan(t, &helper_ws);
           });
         }
         std::vector<VertexId> steal_flat;
@@ -475,7 +456,7 @@ TEST(ParallelDeterminismTest, StealSchedulerWordKernelMatchesSerial) {
               return true;
             },
             &owner_ws);
-        done.store(true, std::memory_order_release);
+        sched.FinishScan(0, &owner_ws);
         for (std::thread& h : helpers) h.join();
         EXPECT_EQ(stolen.embeddings, expected);
         EXPECT_FALSE(stolen.aborted);
@@ -526,13 +507,9 @@ TEST(ParallelDeterminismTest, StealSchedulerPreExpiredDeadlineAborts) {
 TEST(ParallelDeterminismTest, IntraStealingReportsTaskStats) {
   const GraphDatabase db = MakeDb(3, 40);
   const std::vector<Graph> queries = MakeQueries(db, 3, 17);
-  IntraQueryConfig intra;
-  intra.enabled = true;
-  intra.heavy_threshold = 1;  // every enumeration splits -> tasks guaranteed
-  intra.steal_chunk = 1;
-  ParallelVcfvEngine engine(
-      "CFQL-parallel-intra", [] { return std::make_unique<CfqlMatcher>(); }, 4,
-      2, intra);
+  // Every enumeration splits -> tasks guaranteed.
+  ParallelVcfvEngine engine(4, 2,
+                            StealConfig{.chunk = 1, .heavy_threshold = 1});
   ASSERT_TRUE(engine.Prepare(db, Deadline::Infinite()));
 
   uint64_t spawned = 0;

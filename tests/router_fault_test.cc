@@ -1,9 +1,14 @@
 // Fault injection for the router's fan-out. Scripted fake shards on
 // temporary Unix sockets replay canned reply bytes, so each test pins one
 // fault the scatter-gather loop must turn into a bounded, typed reply:
-// replies written one byte per send, a silent shard, a shard that closes
-// mid-STREAM, a pooled socket gone stale between two requests, and a shard
-// that answers OVERLOADED. Runs under the `router` and `tsan` labels.
+// replies written one byte per send, a silent shard, a TCP shard that never
+// completes the handshake, a shard that closes mid-STREAM, a pooled socket
+// gone stale between two requests, and a shard that answers OVERLOADED.
+// Runs under the `router` and `tsan` labels.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -166,15 +171,19 @@ struct Rig {
       *error = "fake shard could not listen";
       return false;
     }
+    std::vector<ShardEndpoint> endpoints(2);
+    endpoints[0].unix_path = shards[0]->path();
+    endpoints[1].unix_path = shards[1]->path();
+    return StartRouter(std::move(endpoints), policy, error);
+  }
+
+  bool StartRouter(std::vector<ShardEndpoint> endpoints,
+                   ShardFailurePolicy policy, std::string* error) {
     router_path = SocketPath("router");
     RouterServerConfig server_config;
     server_config.unix_path = router_path;
     RouterConfig router_config;
-    for (const auto& shard : shards) {
-      ShardEndpoint endpoint;
-      endpoint.unix_path = shard->path();
-      router_config.shards.push_back(endpoint);
-    }
+    router_config.shards = std::move(endpoints);
     router_config.on_shard_failure = policy;
     router_config.forward_shutdown = false;
     router = std::make_unique<RouterServer>(server_config, router_config);
@@ -248,6 +257,84 @@ TEST(RouterFaultTest, SilentShardEndsTheRequestWithinItsDeadline) {
     Rig rig;
     std::string error;
     ASSERT_TRUE(rig.Start({{""}}, {{BatchReply({1, 3})}}, policy, &error))
+        << error;
+    WallTimer timer;
+    std::string ids;
+    const std::string line =
+        rig.client.QueryIds(Payload(), &ids, 0, kTimeoutSeconds);
+    EXPECT_LT(timer.ElapsedMillis(), kTimeoutSeconds * 1000 + 200);
+    if (policy == ShardFailurePolicy::kError) {
+      EXPECT_EQ(line.rfind("OVERLOADED", 0), 0u) << line;
+      EXPECT_NE(line.find("shard 0"), std::string::npos) << line;
+    } else {
+      ASSERT_EQ(ParseResponseHead(line).kind, ResponseHead::Kind::kOk)
+          << line;
+      EXPECT_EQ(Ids(line, ids), (std::vector<GraphId>{1, 3}));
+      EXPECT_NE(line.find("\"shards_ok\":1"), std::string::npos) << line;
+    }
+    EXPECT_EQ(rig.router->Stats().shard_failures, 1u);
+  }
+}
+
+// A loopback TCP port whose handshakes never complete: a listener with
+// backlog 0 whose one accept-queue slot holds a connection it never
+// accepts, so the kernel drops every later SYN and a client retransmits it
+// for about two minutes.
+class UnansweredTcpPort {
+ public:
+  UnansweredTcpPort() : listener_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (!listener_.valid() ||
+        ::bind(listener_.get(), reinterpret_cast<sockaddr*>(&addr), len) !=
+            0 ||
+        ::listen(listener_.get(), 0) != 0 ||
+        ::getsockname(listener_.get(), reinterpret_cast<sockaddr*>(&addr),
+                      &len) != 0) {
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+    std::string error;
+    filler_ = ConnectTcp("127.0.0.1", port_, &error);
+  }
+
+  bool ok() const { return filler_.valid(); }
+  uint16_t port() const { return port_; }
+
+ private:
+  UniqueFd listener_;
+  UniqueFd filler_;  // occupies the accept queue
+  uint16_t port_ = 0;
+};
+
+TEST(RouterFaultTest, UnansweredTcpConnectEndsTheRequestWithinItsDeadline) {
+  constexpr double kTimeoutSeconds = 0.5;
+  UnansweredTcpPort black_hole;
+  ASSERT_TRUE(black_hole.ok());
+  // The premise: a connect to the port is still pending after 0.2 s.
+  std::string error;
+  bool in_progress = false;
+  const UniqueFd probe =
+      StartConnectTcp("127.0.0.1", black_hole.port(), &in_progress, &error);
+  ASSERT_TRUE(probe.valid()) << error;
+  ASSERT_TRUE(in_progress);
+  pollfd p{probe.get(), POLLOUT, 0};
+  EXPECT_EQ(::poll(&p, 1, 200), 0);
+
+  for (const ShardFailurePolicy policy :
+       {ShardFailurePolicy::kError, ShardFailurePolicy::kDegraded}) {
+    SCOPED_TRACE(ToString(policy));
+    Rig rig;
+    rig.shards[1] = std::make_unique<FakeShard>(
+        SocketPath("shard1"), std::vector<Action>{{BatchReply({1, 3})}});
+    ASSERT_TRUE(rig.shards[1]->listening());
+    std::vector<ShardEndpoint> endpoints(2);
+    endpoints[0].host = "127.0.0.1";
+    endpoints[0].port = black_hole.port();
+    endpoints[1].unix_path = rig.shards[1]->path();
+    ASSERT_TRUE(rig.StartRouter(std::move(endpoints), policy, &error))
         << error;
     WallTimer timer;
     std::string ids;

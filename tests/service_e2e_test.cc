@@ -541,8 +541,7 @@ TEST(ServiceE2eTest, ReloadInvalidatesCacheUnderConcurrentLoad) {
 // prefix of the batch IDS answer list, and the terminal count equals the
 // number of ids streamed.
 TEST(ServiceE2eTest, StreamedResultsAreBitIdenticalPrefixOfBatch) {
-  const char* engines[] = {"CFQL", "VF2-scan", "CFQL-parallel",
-                           "CFQL-parallel-intra"};
+  const char* engines[] = {"CFQL", "VF2-scan", "CFQL-parallel"};
   const GraphDatabase db = SmallDb();
   // Single labeled edge: embeds in most of the 40 synthetic graphs, so
   // the streamed sequence is long enough to cross chunk boundaries.

@@ -107,7 +107,7 @@ TEST_F(SnapshotQueryTest, EnginesBitIdenticalAcrossLimitAndStream) {
   AttachCandidateIndexes(&from_snap, /*min_vertices=*/100);
 
   for (const std::string& name :
-       {"CFL", "GraphQL", "CFQL", "CFQL-parallel-intra"}) {
+       {"CFL", "GraphQL", "CFQL", "CFQL-parallel"}) {
     auto text_engine = MakeEngine(name);
     auto snap_engine = MakeEngine(name);
     ASSERT_TRUE(text_engine->Prepare(from_text, Deadline::Infinite()));
@@ -182,7 +182,7 @@ TEST_F(SnapshotQueryTest, ConcurrentQueriesOverOneMapping) {
   AttachCandidateIndexes(&from_snap, /*min_vertices=*/0);
 
   ServiceConfig config;
-  config.engine_name = "CFQL-parallel-intra";
+  config.engine_name = "CFQL-parallel";
   config.workers = 4;
   config.queue_capacity = 64;
   QueryService service(config);

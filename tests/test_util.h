@@ -49,6 +49,17 @@ inline Graph MakeCycle(std::initializer_list<Label> labels) {
   return builder.Build();
 }
 
+// The complete bipartite graph K_{a,b}, every vertex labeled `label`: it
+// holds no odd cycle, so an odd-cycle query searches it exhaustively.
+inline Graph MakeCompleteBipartite(uint32_t a, uint32_t b, Label label) {
+  GraphBuilder builder;
+  for (uint32_t v = 0; v < a + b; ++v) builder.AddVertex(label);
+  for (VertexId u = 0; u < a; ++u) {
+    for (VertexId w = a; w < a + b; ++w) builder.AddEdge(u, w);
+  }
+  return builder.Build();
+}
+
 // A label the generated databases and queries of the tests never use.
 inline constexpr Label kPaddingLabel = 1000;
 

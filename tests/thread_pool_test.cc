@@ -3,10 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
-#include <numeric>
-#include <thread>
-#include <vector>
 
 namespace sgq {
 namespace {
@@ -34,59 +30,14 @@ TEST(ThreadPoolTest, WaitWithNothingPendingReturns) {
   pool.Wait();  // idempotent
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  for (size_t n : {0ul, 1ul, 7ul, 64ul, 1000ul}) {
-    for (size_t chunk : {1ul, 3ul, 16ul, 4096ul}) {
-      std::vector<std::atomic<int>> hits(n);
-      for (auto& h : hits) h.store(0);
-      pool.ParallelFor(n, chunk, [&](size_t begin, size_t end, uint32_t slot) {
-        ASSERT_LT(begin, end);
-        ASSERT_LE(end, n);
-        // Slot ids cover the workers plus the participating caller.
-        ASSERT_LE(slot, pool.num_threads());
-        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      });
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " chunk=" << chunk
-                                     << " index=" << i;
-      }
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForChunkZeroTreatedAsOne) {
-  ThreadPool pool(2);
-  std::atomic<size_t> total{0};
-  pool.ParallelFor(10, 0, [&](size_t begin, size_t end, uint32_t) {
-    total.fetch_add(end - begin);
-  });
-  EXPECT_EQ(total.load(), 10u);
-}
-
-// A slot's invocations must never overlap: per-slot unsynchronized state is
-// the whole point of the slot contract.
-TEST(ThreadPoolTest, SlotInvocationsNeverOverlap) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> active(pool.num_threads() + 1);
-  for (auto& a : active) a.store(0);
-  std::atomic<bool> overlapped{false};
-  pool.ParallelFor(500, 2, [&](size_t, size_t, uint32_t slot) {
-    if (active[slot].fetch_add(1) != 0) overlapped.store(true);
-    active[slot].fetch_sub(1);
-  });
-  EXPECT_FALSE(overlapped.load());
-}
-
 TEST(ThreadPoolTest, PoolIsReusableAcrossRounds) {
   ThreadPool pool(3);
   for (int round = 0; round < 5; ++round) {
     std::atomic<size_t> sum{0};
-    pool.ParallelFor(100, 7, [&](size_t begin, size_t end, uint32_t) {
-      size_t local = 0;
-      for (size_t i = begin; i < end; ++i) local += i;
-      sum.fetch_add(local);
-    });
+    for (size_t i = 0; i < 100; ++i) {
+      pool.Submit([&sum, i] { sum.fetch_add(i); });
+    }
+    pool.Wait();
     EXPECT_EQ(sum.load(), 100u * 99u / 2u) << "round " << round;
   }
 }
@@ -97,34 +48,6 @@ TEST(ThreadPoolTest, DefaultChunkBounds) {
   EXPECT_LE(ThreadPool::DefaultChunk(1u << 30, 2), 64u);
   // Mid-size databases get more than one graph per hand-out.
   EXPECT_GT(ThreadPool::DefaultChunk(10000, 4), 1u);
-}
-
-// The calling thread is an executor, not a bystander: any chunk that runs
-// under slot num_threads() must run on the caller's own thread, and when the
-// workers are wedged the caller alone must drain the whole range.
-TEST(ThreadPoolTest, CallerParticipatesInParallelFor) {
-  ThreadPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-
-  // Wedge the single worker behind a task that only finishes once the range
-  // has been fully covered — every body invocation is forced onto the caller.
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  pool.Submit([released] { released.wait(); });
-
-  const size_t n = 40;
-  std::atomic<size_t> covered{0};
-  std::atomic<bool> wrong_thread{false};
-  pool.ParallelFor(n, 4, [&](size_t begin, size_t end, uint32_t slot) {
-    if (slot != pool.num_threads() || std::this_thread::get_id() != caller) {
-      wrong_thread.store(true);
-    }
-    if (covered.fetch_add(end - begin) + (end - begin) == n) {
-      release.set_value();  // unwedge the worker so ParallelFor can return
-    }
-  });
-  EXPECT_EQ(covered.load(), n);
-  EXPECT_FALSE(wrong_thread.load());
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {

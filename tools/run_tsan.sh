@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Builds everything with ThreadSanitizer and runs all suites carrying
-# the `tsan` CTest label (thread pool, parallel engines, work stealing,
+# the `tsan` CTest label (thread pool, parallel engine, work stealing,
 # query service + scheduler, streaming e2e, cache, router e2e).
 #
 # Usage: tools/run_tsan.sh [build-dir]   (default: build-tsan)
