@@ -26,6 +26,8 @@
 #ifndef SGQ_INDEX_VERTEX_CANDIDATE_INDEX_H_
 #define SGQ_INDEX_VERTEX_CANDIDATE_INDEX_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -49,12 +51,33 @@ class VertexCandidateIndex {
   static uint64_t SignatureOf(std::span<const Label> labels);
 
   // Appends to *out every vertex with label `l`, degree >= `min_degree`,
-  // and a signature superset of `sig`, in ascending id order. Returns the
+  // a signature superset of `sig` and `keep(v)` true, in ascending id
+  // order. `keep` is the caller's exact test (NLF, CFL's reach test): it
+  // runs before the id sort, so only its survivors are sorted. Returns the
   // number of index entries actually examined after the degree slice (the
   // bucket suffix length) — the cost the full scan would have paid is the
   // whole bucket, so callers can report the reduction.
+  struct KeepAll {  // the default `keep`: slice and signature alone
+    bool operator()(VertexId) const { return true; }
+  };
+  template <typename Keep = KeepAll>
   size_t CollectCandidates(Label l, uint32_t min_degree, uint64_t sig,
-                           std::vector<VertexId>* out) const;
+                           std::vector<VertexId>* out, Keep keep = {}) const {
+    const size_t slot = SlotOf(l);
+    if (slot == SIZE_MAX) return 0;
+    const uint32_t end = bucket_offsets_[slot + 1];
+    const uint32_t lo = DegreeSliceBegin(slot, min_degree);
+    const size_t first_out = out->size();
+    for (uint32_t i = lo; i < end; ++i) {
+      if ((signatures_[i] & sig) == sig && keep(ids_[i])) {
+        out->push_back(ids_[i]);
+      }
+    }
+    // The bucket is degree-ordered, not id-ordered; restore the ascending-id
+    // order every candidate-set consumer relies on.
+    std::sort(out->begin() + static_cast<ptrdiff_t>(first_out), out->end());
+    return end - lo;
+  }
 
   // Exact count of vertices with label `l` and degree >= `min_degree`,
   // O(log bucket). This is the LDF candidate count CFL's root selection
@@ -74,6 +97,8 @@ class VertexCandidateIndex {
 
   // Bucket slot for label `l`, or SIZE_MAX when absent.
   size_t SlotOf(Label l) const;
+  // First entry of bucket `slot` with degree >= `min_degree`.
+  uint32_t DegreeSliceBegin(size_t slot, uint32_t min_degree) const;
 
   // Distinct labels sorted ascending; bucket i spans
   // [bucket_offsets_[i], bucket_offsets_[i+1]) of the parallel arrays.

@@ -62,21 +62,16 @@ void LdfNlfCandidatesInto(const Graph& query, const Graph& data, VertexId u,
     // Fast path for indexed (massive) data graphs: the degree slice is a
     // binary search and the signature AND kills most NLF failures before the
     // multiset walk. Both filters are conservative and the exact NLF
-    // predicate is re-checked below, so the result is bit-identical to the
-    // full-scan path.
+    // predicate runs on their survivors, so the result is bit-identical to
+    // the full-scan path.
     const uint64_t sig =
         use_nlf ? VertexCandidateIndex::SignatureOf(query.NeighborLabels(u))
                 : 0;
-    index->CollectCandidates(query.label(u), query.degree(u), sig, out);
-    if (use_nlf) {
-      out->erase(std::remove_if(out->begin(), out->end(),
-                                [&](VertexId v) {
-                                  return !SortedMultisetContains(
-                                      data.NeighborLabels(v),
-                                      query.NeighborLabels(u));
-                                }),
-                 out->end());
-    }
+    index->CollectCandidates(
+        query.label(u), query.degree(u), sig, out, [&](VertexId v) {
+          return !use_nlf || SortedMultisetContains(data.NeighborLabels(v),
+                                                    query.NeighborLabels(u));
+        });
     return;  // CollectCandidates appends in ascending id order.
   }
   // Everything VerticesWithLabel yields already carries the label, so the

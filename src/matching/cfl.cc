@@ -5,7 +5,6 @@
 
 #include "index/vertex_candidate_index.h"
 #include "matching/workspace.h"
-#include "util/intersect.h"
 #include "util/logging.h"
 
 namespace sgq {
@@ -26,6 +25,18 @@ size_t CpiData::MemoryBytes() const {
 }
 
 namespace {
+
+// Vertex maps (see MatchWorkspace::reach_map): MapWords(|V(G)|) words, v in
+// the set iff bit v % 64 of word v / 64 is set. Not util/bitset.h's Bitset:
+// its Set/Test are out of line and bounds-checked per bit, and these run
+// in the filter's innermost loops over ids already below |V(G)|.
+size_t MapWords(uint32_t num_vertices) { return (num_vertices + 63) / 64; }
+bool MapHas(const uint64_t* map, VertexId v) {
+  return (map[v / 64] >> (v % 64) & 1) != 0;
+}
+void MapAdd(uint64_t* map, VertexId v) {
+  map[v / 64] |= uint64_t{1} << (v % 64);
+}
 
 // Root selection: the (core, if any exists) query vertex minimizing
 // |LDF candidates| / degree. `in_core` is the query's 2-core membership.
@@ -259,11 +270,11 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
   // reach words (the OR of adj_rows over Φ(u')), recorded once Φ(u') is
   // non-empty. Rows are built late, for each new candidate only: most
   // graphs of a sparse database fail at the root or soon after, and rows
-  // of every vertex would be pure overhead for them. Larger graphs count
-  // instead: cnt[w] counts how many backward neighbors of the current
-  // query vertex have a candidate adjacent to w; incremented only when
-  // cnt[w] == k while processing the k-th backward neighbor, which both
-  // dedups per-neighbor contributions and intersects across neighbors.
+  // of every vertex would be pure overhead for them. Larger graphs build
+  // one reach map per query vertex instead: the first backward neighbor
+  // sets the bit of every neighbor of its candidates, and each further
+  // one keeps only the bits its own candidates reach. Either way the
+  // reach test is one bit test.
   const bool words = FitsInWord(data);
   const uint64_t* rows = nullptr;
   uint64_t rows_built = 0;  // word path: candidates whose row is filled
@@ -277,8 +288,13 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
     w.reach_bits[u] = reach;
     w.phi_bits[u] = bits;
   };
-  std::vector<uint32_t>& cnt = w.vertex_counts;
-  if (!words) cnt.assign(data.NumVertices(), 0);
+  const size_t map_words = words ? 0 : MapWords(data.NumVertices());
+  if (w.reach_map.size() < map_words) {
+    w.reach_map.resize(map_words);
+    w.reach_next.resize(map_words);
+  }
+  uint64_t* reach_map = w.reach_map.data();
+  uint64_t* reach_next = w.reach_next.data();
   std::vector<VertexId>& backward = w.query_vertices;
   for (uint32_t i = 0; i < n; ++i) {
     const VertexId u = tree.order[i];
@@ -299,43 +315,38 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
     }
     SGQ_CHECK(!backward.empty());
     uint64_t reach = ~uint64_t{0};
-    uint32_t k = 0;
     if (words) {
       for (VertexId uprime : backward) reach &= w.reach_bits[uprime];
     } else {
-      std::fill(cnt.begin(), cnt.end(), 0);
-      for (VertexId uprime : backward) {
-        for (VertexId vprime : out->phi.set(uprime)) {
+      for (size_t k = 0; k < backward.size(); ++k) {
+        std::fill_n(reach_next, map_words, 0);
+        for (VertexId vprime : out->phi.set(backward[k])) {
           for (VertexId v : data.Neighbors(vprime)) {
-            if (cnt[v] == k) ++cnt[v];
+            if (k == 0 || MapHas(reach_map, v)) MapAdd(reach_next, v);
           }
         }
-        ++k;
+        std::swap(reach_map, reach_next);
       }
     }
     auto reached = [&](VertexId v) {
-      return words ? (reach >> v & 1) != 0 : cnt[v] == k;
+      return words ? (reach >> v & 1) != 0 : MapHas(reach_map, v);
     };
     if (const auto* index = data.candidate_index()) {
       // Indexed path: the degree slice + signature filter shrink the label
-      // bucket before the reach/NLF checks; candidates come back in
-      // ascending id order, matching the full-scan path bit for bit (the
-      // exact NLF predicate is re-checked below).
-      std::vector<VertexId>& pre = w.scratch_candidates;
-      pre.clear();
+      // bucket, then the reach and exact NLF tests run before the index
+      // sorts its survivors back into ascending id order, matching the
+      // full-scan path bit for bit.
       const uint64_t sig =
           options_.use_nlf
               ? VertexCandidateIndex::SignatureOf(query.NeighborLabels(u))
               : 0;
-      index->CollectCandidates(query.label(u), query.degree(u), sig, &pre);
-      for (VertexId v : pre) {
-        if (reached(v) &&
-            (!options_.use_nlf ||
-             SortedMultisetContains(data.NeighborLabels(v),
-                                    query.NeighborLabels(u)))) {
-          set.push_back(v);
-        }
-      }
+      index->CollectCandidates(
+          query.label(u), query.degree(u), sig, &set, [&](VertexId v) {
+            return reached(v) &&
+                   (!options_.use_nlf ||
+                    SortedMultisetContains(data.NeighborLabels(v),
+                                           query.NeighborLabels(u)));
+          });
     } else {
       for (VertexId v : data.VerticesWithLabel(query.label(u))) {
         if (reached(v) &&
@@ -352,10 +363,24 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
   if (options_.refine_bottom_up) {
     // Keep v in Φ(u) only if every forward neighbor u' has a candidate
     // adjacent to v, i.e. N(v) ∩ Φ(u') ≠ ∅: one AND against Φbits(u') on
-    // the word path, else the adaptive early-exit intersection kernel.
-    // Forward vertices are processed earlier in this reverse sweep, so
-    // in-place erasure (and refreshing Φbits(u) after it) keeps the
-    // membership view exact.
+    // the word path, else a walk of N(v) that stops at the first bit set
+    // in the map of Φ(u'). Forward vertices are processed earlier in this
+    // reverse sweep, so Φ(u') is final: in-place erasure (and refreshing
+    // Φbits(u) after it) keeps the membership view exact, and the map of
+    // Φ(u) is built once, after its own refinement, for every backward
+    // neighbor that reads it.
+    if (w.phi_maps.size() < n * map_words) w.phi_maps.resize(n * map_words);
+    auto phi_map = [&](VertexId u) {
+      return w.phi_maps.data() + static_cast<size_t>(u) * map_words;
+    };
+    auto adjacent_to = [&](VertexId v, VertexId uprime) {
+      if (words) return (rows[v] & w.phi_bits[uprime]) != 0;
+      const uint64_t* map = phi_map(uprime);
+      for (VertexId x : data.Neighbors(v)) {
+        if (MapHas(map, x)) return true;
+      }
+      return false;
+    };
     std::vector<VertexId>& forward = w.query_vertices;
     for (uint32_t i = n; i-- > 0;) {
       const VertexId u = tree.order[i];
@@ -363,21 +388,24 @@ bool CflMatcher::FilterPhi(const Graph& query, const Graph& data,
       for (VertexId v : query.Neighbors(u)) {
         if (order_pos[v] > i) forward.push_back(v);
       }
-      if (forward.empty()) continue;
       auto& set = out->phi.mutable_set(u);
-      auto keep_end = std::remove_if(set.begin(), set.end(), [&](VertexId v) {
-        for (VertexId uprime : forward) {
-          if (words ? (rows[v] & w.phi_bits[uprime]) == 0
-                    : !IntersectNonEmpty(data.Neighbors(v),
-                                         out->phi.set(uprime))) {
-            return true;
-          }
-        }
-        return false;
-      });
-      set.erase(keep_end, set.end());
-      if (set.empty()) return false;
-      if (words) w.phi_bits[u] = VertexWord(set);
+      if (!forward.empty()) {
+        auto keep_end =
+            std::remove_if(set.begin(), set.end(), [&](VertexId v) {
+              for (VertexId uprime : forward) {
+                if (!adjacent_to(v, uprime)) return true;
+              }
+              return false;
+            });
+        set.erase(keep_end, set.end());
+        if (set.empty()) return false;
+        if (words) w.phi_bits[u] = VertexWord(set);
+      }
+      if (!words && u != root) {
+        uint64_t* map = phi_map(u);
+        std::fill_n(map, map_words, 0);
+        for (VertexId v : set) MapAdd(map, v);
+      }
     }
   }
   return true;
@@ -394,8 +422,11 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
   // (into Φ(u)) of adjacent candidates. The nested lists are resized, not
   // reassigned, so a recycled CpiData keeps their heap buffers.
   if (out->children.size() != n) out->children.resize(n);
+  // Grow-only, all UINT32_MAX between tree edges (see MatchWorkspace).
   std::vector<uint32_t>& index_of = ws->index_of;
-  index_of.assign(data.NumVertices(), UINT32_MAX);
+  if (index_of.size() < data.NumVertices()) {
+    index_of.resize(data.NumVertices(), UINT32_MAX);
+  }
   for (uint32_t i = 0; i < n; ++i) {
     const VertexId u = tree.order[i];
     auto& per_parent = out->children[u];

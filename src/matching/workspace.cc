@@ -37,7 +37,8 @@ size_t MatchWorkspace::MemoryBytes() const {
   for (const auto& v : local_b) bytes += v.capacity() * sizeof(VertexId);
   bytes += adj_by_size.capacity() * sizeof(std::pair<uint32_t, VertexId>);
   bytes += (adj_rows.capacity() + phi_bits.capacity() +
-            reach_bits.capacity()) *
+            reach_bits.capacity() + reach_map.capacity() +
+            reach_next.capacity() + phi_maps.capacity()) *
            sizeof(uint64_t);
   for (const auto& matrix : ullmann_pool) {
     bytes += matrix.capacity() * sizeof(std::vector<VertexId>);
@@ -49,12 +50,10 @@ size_t MatchWorkspace::MemoryBytes() const {
   bytes += term_data.capacity() * sizeof(uint32_t);
   bytes += byte_matrix.capacity();
   bytes += order_pos.capacity() * sizeof(uint32_t);
-  bytes += vertex_counts.capacity() * sizeof(uint32_t);
   bytes += index_of.capacity() * sizeof(uint32_t);
   bytes += in_core.capacity() / 8;
   bytes += core_degree.capacity() * sizeof(uint32_t);
   bytes += query_vertices.capacity() * sizeof(VertexId);
-  bytes += scratch_candidates.capacity() * sizeof(VertexId);
   return bytes;
 }
 

@@ -144,6 +144,20 @@ class MatchWorkspace {
   // the data vertices adjacent to some candidate of u.
   std::vector<uint64_t> reach_bits;
 
+  // --- vertex maps (CFL's filter, > kWordGraphMaxVertices vertices) ----
+  // A map is a set of data vertices in ⌈|V(G)|/64⌉ words: v is in it iff
+  // bit v % 64 of word v / 64 is set. Grow-only; whoever fills a map
+  // clears its words first. Top-down, reach_map holds the data vertices
+  // adjacent to some candidate of every backward neighbor of the current
+  // query vertex seen so far; reach_next takes the next backward
+  // neighbor's share of it, then the two swap.
+  std::vector<uint64_t> reach_map;
+  std::vector<uint64_t> reach_next;
+  // Bottom-up: slot u (the map at word u * ⌈|V(G)|/64⌉) is Φ(u), built
+  // once u is refined and read by each query vertex that has u as a
+  // forward neighbor.
+  std::vector<uint64_t> phi_maps;
+
   // Fills adj_rows[v] from `data` (FitsInWord(data) must hold) for every
   // vertex v in `vertices` (a VertexWord) and returns the rows. Rows of
   // other vertices keep stale values: both readers only ever read the rows
@@ -182,9 +196,11 @@ class MatchWorkspace {
   // --- filtering scratch ---------------------------------------------------
   // GraphQL's membership bitmap.
   std::vector<uint8_t> byte_matrix;
-  // CFL: visit-order positions, backward-prune counters, candidate-index map.
+  // CFL: visit-order positions of the query vertices.
   std::vector<uint32_t> order_pos;
-  std::vector<uint32_t> vertex_counts;
+  // CFL's CPI edges: index_of[v] is v's index in Φ(u) while the tree edge
+  // into u is built, else UINT32_MAX. Grow-only: each tree edge resets the
+  // entries it set, so the array is all UINT32_MAX between edges and calls.
   std::vector<uint32_t> index_of;
   // CFL: the query's 2-core membership (root selection, matching order),
   // its peeling degrees, and a query-vertex list (the peeling stack, then
@@ -192,9 +208,6 @@ class MatchWorkspace {
   std::vector<bool> in_core;
   std::vector<uint32_t> core_degree;
   std::vector<VertexId> query_vertices;
-  // Pre-filtered label-bucket slice from the vertex candidate index (CFL's
-  // top-down pass on indexed data graphs); valid within one query vertex.
-  std::vector<VertexId> scratch_candidates;
 
  private:
   std::unique_ptr<FilterData> filter_data_;

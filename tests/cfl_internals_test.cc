@@ -199,10 +199,12 @@ TEST(CflCpiTest, RecycledCpiEqualsFreshAfterLargerQuery) {
 }
 
 // CFL's filter on a data graph of <= 64 vertices works on adjacency words;
-// the same graph padded past 64 vertices takes the list path. Both must
-// build the same Φ, tree, CPI and order, with and without a vertex
+// the same graph padded past 64 vertices takes the reach-map path. Both
+// must build the same Φ, tree, CPI and order, with and without a vertex
 // candidate index attached (the SGQ_CANDIDATE_INDEX=on mode, where the
-// top-down pass draws its candidates from the index).
+// top-down pass draws its candidates from the index). Padding at the tail
+// keeps every candidate inside the first word of a map; spreading the
+// vertices over more than 4,096 ids puts them in many map words.
 TEST(CflCpiTest, WordFilterEqualsPaddedListFilter) {
   Rng rng(4242);
   const std::vector<Label> labels = {0, 1, 2};
@@ -226,35 +228,45 @@ TEST(CflCpiTest, WordFilterEqualsPaddedListFilter) {
       continue;
     }
     for (const bool indexed : {false, true}) {
-      Graph words = db.graph(0);
-      Graph lists = ::sgq::testing::PadWithIsolatedVertices(words, 65);
-      ASSERT_TRUE(FitsInWord(words));
-      ASSERT_FALSE(FitsInWord(lists));
-      if (indexed) {
-        words.SetCandidateIndex(VertexCandidateIndex::Build(words));
-        lists.SetCandidateIndex(VertexCandidateIndex::Build(lists));
+      for (const bool spread : {false, true}) {
+        Graph words = db.graph(0);
+        const uint32_t stride = spread ? 4096 / words.NumVertices() + 1 : 1;
+        Graph lists =
+            spread ? ::sgq::testing::SpreadWithIsolatedVertices(words, stride)
+                   : ::sgq::testing::PadWithIsolatedVertices(words, 65);
+        ASSERT_TRUE(FitsInWord(words));
+        ASSERT_FALSE(FitsInWord(lists));
+        if (indexed) {
+          words.SetCandidateIndex(VertexCandidateIndex::Build(words));
+          lists.SetCandidateIndex(VertexCandidateIndex::Build(lists));
+        }
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << " indexed="
+                                          << indexed << " spread=" << spread);
+        // Φ over `words` in the ids of `lists`.
+        auto list_ids = [&](std::vector<VertexId> set) {
+          for (VertexId& v : set) v *= stride;
+          return set;
+        };
+        const auto expected = matcher.Filter(q, lists);
+        const CpiData& want = AsCpi(*expected);
+        const CpiData& got = AsCpi(*matcher.Filter(q, words, &ws));
+        ASSERT_EQ(got.Passed(), want.Passed());
+        for (VertexId u = 0; u < q.NumVertices(); ++u) {
+          EXPECT_EQ(list_ids(got.phi.set(u)), want.phi.set(u));
+        }
+        const auto phi_only = cfql.Filter(q, words);
+        for (VertexId u = 0; u < q.NumVertices(); ++u) {
+          EXPECT_EQ(list_ids(phi_only->phi.set(u)), want.phi.set(u));
+        }
+        if (!want.Passed()) continue;
+        ++passed;
+        EXPECT_EQ(got.tree.order, want.tree.order);
+        EXPECT_EQ(got.children, want.children);
+        EXPECT_EQ(got.matching_order, want.matching_order);
       }
-      SCOPED_TRACE(::testing::Message() << "trial " << trial
-                                        << " indexed=" << indexed);
-      const auto expected = matcher.Filter(q, lists);
-      const CpiData& want = AsCpi(*expected);
-      const CpiData& got = AsCpi(*matcher.Filter(q, words, &ws));
-      ASSERT_EQ(got.Passed(), want.Passed());
-      for (VertexId u = 0; u < q.NumVertices(); ++u) {
-        EXPECT_EQ(got.phi.set(u), want.phi.set(u));
-      }
-      const auto phi_only = cfql.Filter(q, words);
-      for (VertexId u = 0; u < q.NumVertices(); ++u) {
-        EXPECT_EQ(phi_only->phi.set(u), want.phi.set(u));
-      }
-      if (!want.Passed()) continue;
-      ++passed;
-      EXPECT_EQ(got.tree.order, want.tree.order);
-      EXPECT_EQ(got.children, want.children);
-      EXPECT_EQ(got.matching_order, want.matching_order);
     }
   }
-  EXPECT_GT(passed, 40);
+  EXPECT_GT(passed, 80);
 }
 
 TEST(CflCpiTest, SingleVertexQueryWorks) {

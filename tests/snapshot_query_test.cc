@@ -106,8 +106,7 @@ TEST_F(SnapshotQueryTest, EnginesBitIdenticalAcrossLimitAndStream) {
   // arrays must still match the plain full scan over owned arrays.
   AttachCandidateIndexes(&from_snap, /*min_vertices=*/100);
 
-  for (const std::string& name :
-       {"CFL", "GraphQL", "CFQL", "CFQL-parallel"}) {
+  for (const char* name : {"CFL", "GraphQL", "CFQL", "CFQL-parallel"}) {
     auto text_engine = MakeEngine(name);
     auto snap_engine = MakeEngine(name);
     ASSERT_TRUE(text_engine->Prepare(from_text, Deadline::Infinite()));

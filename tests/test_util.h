@@ -80,6 +80,25 @@ inline Graph PadWithIsolatedVertices(const Graph& g, uint32_t count) {
   return builder.Build();
 }
 
+// `g` with vertex v moved to id v * stride and stride - 1 isolated
+// kPaddingLabel vertices after each: the ids keep their order, so filters,
+// orders and search trees over the result equal those over `g` under
+// v -> v * stride, while g's vertices land in many 64-bit words of a
+// vertex bit map instead of the first one.
+inline Graph SpreadWithIsolatedVertices(const Graph& g, uint32_t stride) {
+  GraphBuilder builder;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    builder.AddVertex(g.label(v));
+    for (uint32_t i = 1; i < stride; ++i) builder.AddVertex(kPaddingLabel);
+  }
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    for (VertexId x : g.Neighbors(v)) {
+      if (v < x) builder.AddEdge(v * stride, x * stride);
+    }
+  }
+  return builder.Build();
+}
+
 // Every graph of `db` padded past the word kernel's 64-vertex limit (65
 // isolated vertices each).
 inline GraphDatabase PadPastWordLimit(const GraphDatabase& db) {

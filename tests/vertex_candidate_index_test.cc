@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,15 @@ TEST(VertexCandidateIndexTest, CollectCandidatesIsConservativeAndSorted) {
         if (g.degree(v) >= min_degree) expected.push_back(v);
       }
       EXPECT_EQ(expected, got) << "label " << l << " deg " << min_degree;
+
+      // With a predicate: the sorted subset of the slice it keeps.
+      auto keep = [&](VertexId v) { return (v + min_degree) % 3 != 0; };
+      std::vector<VertexId> kept;
+      index->CollectCandidates(l, min_degree, /*sig=*/0, &kept, keep);
+      std::vector<VertexId> expected_kept;
+      std::copy_if(expected.begin(), expected.end(),
+                   std::back_inserter(expected_kept), keep);
+      EXPECT_EQ(expected_kept, kept) << "label " << l << " deg " << min_degree;
     }
   }
 }
